@@ -1,16 +1,16 @@
-// Experiment E14: concurrent mediator — MVCC snapshot reads + parallel IUP.
+// Experiment E14: concurrent mediator — MVCC snapshot reads.
 //
-// Drives a K-branch fully materialized VDP (K independent R' ⋈ S' exports,
-// so same-level firings have disjoint parent sets) with a mixed workload:
-// one writer streams update batches through the IUP while reader threads
-// answer export queries. Two modes over byte-identical workloads:
+// Drives a K-branch fully materialized VDP (K independent R' ⋈ S' exports)
+// with a mixed workload: one writer streams update batches through the IUP
+// while reader threads answer export queries. Two modes over byte-identical
+// workloads, both with the same serial IUP kernel:
 //
-//   serialized — the pre-PR discipline: a global store mutex, queries read
-//     the live repositories, the kernel runs single-threaded. Readers block
-//     behind every commit (and each other).
-//   concurrent — the PR's machinery: the kernel fires on a thread pool, the
-//     writer publishes an MVCC snapshot after each batch, and readers answer
-//     lock-free from pinned snapshots (QueryProcessor::Answer with snap).
+//   serialized — a global store mutex, queries read the live repositories.
+//     Readers block behind every commit (and each other).
+//   concurrent — the writer publishes an MVCC snapshot every few batches
+//     and readers answer lock-free from pinned snapshots
+//     (QueryProcessor::Answer with snap), reusing an answer while the
+//     snapshot version it was computed on is still current.
 //
 // Reported per scale: update atoms/sec the writer sustained, queries/sec
 // across readers, and query latency p50/p99. Both modes must end with
@@ -40,7 +40,6 @@
 
 #include "bench_util.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "mediator/iup.h"
 #include "mediator/local_store.h"
 #include "mediator/query_processor.h"
@@ -75,7 +74,6 @@ struct ScaleReport {
   int batches = 0;
   int batch_atoms = 0;  ///< per branch per batch
   int readers = 0;
-  int iup_workers = 0;
   int publish_every = 1;  ///< snapshot refresh interval, in batches
   int trials = 1;         ///< mode pairs run; median speedup reported
   ModeStats serialized;
@@ -90,8 +88,7 @@ std::string BranchNode(const char* base, int branch) {
 }
 
 /// K disjoint branches: leaves Rk/Sk, leaf-parents Rk'/Sk', exported SPJ
-/// join Tk. No node is shared between branches, so every level-1 firing
-/// wave can run all K branches concurrently.
+/// join Tk. No node is shared between branches.
 Result<Vdp> BuildVdp(int branches) {
   VdpBuilder b;
   for (int k = 0; k < branches; ++k) {
@@ -229,9 +226,8 @@ double Percentile(std::vector<double>* v, double p) {
 /// materialized-refresh staleness/cost knob: readers stay lock-free on a
 /// slightly older consistent version while the copy cost amortizes.
 ModeStats DriveMixed(Stack* s, const Workload& w, int batch_atoms,
-                     int readers, bool use_snapshots, ThreadPool* pool,
-                     double pace_ms, int publish_every) {
-  s->iup.SetThreadPool(pool);
+                     int readers, bool use_snapshots, double pace_ms,
+                     int publish_every) {
   if (use_snapshots) s->store.PublishSnapshot(TimeVector{});
 
   std::mutex store_mu;  // serialized mode's global lock
@@ -335,7 +331,6 @@ ModeStats DriveMixed(Stack* s, const Workload& w, int batch_atoms,
   auto end = std::chrono::steady_clock::now();
   stop.store(true, std::memory_order_release);
   for (auto& t : threads) t.join();
-  s->iup.SetThreadPool(nullptr);
 
   ModeStats stats;
   stats.window_ms =
@@ -357,15 +352,14 @@ ModeStats DriveMixed(Stack* s, const Workload& w, int batch_atoms,
 }
 
 ScaleReport RunScale(const Vdp& vdp, int branches, int rows, int batches,
-                     int batch_atoms, int readers, int workers,
-                     int publish_every, int trials, uint64_t seed) {
+                     int batch_atoms, int readers, int publish_every,
+                     int trials, uint64_t seed) {
   ScaleReport report;
   report.branches = branches;
   report.rows = rows;
   report.batches = batches;
   report.batch_atoms = batch_atoms;
   report.readers = readers;
-  report.iup_workers = workers;
   report.publish_every = publish_every;
   report.trials = trials;
   Workload w = MakeWorkload(branches, rows, batches, batch_atoms, seed);
@@ -394,20 +388,19 @@ ScaleReport RunScale(const Vdp& vdp, int branches, int rows, int batches,
     double speedup = 0;
   };
   std::vector<Trial> runs;
-  ThreadPool pool(workers);
   for (int t = 0; t < trials; ++t) {
     Trial trial;
     Stack serial(&vdp, branches);
     serial.Seed(w);
     trial.serialized =
         DriveMixed(&serial, w, batch_atoms, readers,
-                   /*use_snapshots=*/false, nullptr, pace_ms, publish_every);
+                   /*use_snapshots=*/false, pace_ms, publish_every);
 
     Stack conc(&vdp, branches);
     conc.Seed(w);
     trial.concurrent =
         DriveMixed(&conc, w, batch_atoms, readers,
-                   /*use_snapshots=*/true, &pool, pace_ms, publish_every);
+                   /*use_snapshots=*/true, pace_ms, publish_every);
     trial.speedup =
         trial.concurrent.queries_per_sec / trial.serialized.queries_per_sec;
 
@@ -466,7 +459,6 @@ std::string ReportJson(const std::vector<ScaleReport>& scales, bool smoke) {
         << ", \"batches\": " << r.batches
         << ", \"batch_atoms\": " << r.batch_atoms
         << ", \"readers\": " << r.readers
-        << ", \"iup_workers\": " << r.iup_workers
         << ", \"publish_every\": " << r.publish_every
         << ", \"trials\": " << r.trials
         << ",\n     \"serialized\": " << ModeJson(r.serialized)
@@ -529,23 +521,23 @@ int Main(int argc, char** argv) {
   const int branches = 4;
   Vdp vdp = Unwrap(BuildVdp(branches), "vdp");
   struct ScaleSpec {
-    int rows, batches, batch_atoms, readers, workers;
+    int rows, batches, batch_atoms, readers;
   };
   // Snapshot refresh interval (batches per publish) and per-scale trial
   // count; the full run reports the median-speedup trial per scale.
   const int publish_every = 4;
   const int trials = smoke ? 1 : 3;
   std::vector<ScaleSpec> specs =
-      smoke ? std::vector<ScaleSpec>{{300, 20, 16, 2, 2}}
-            : std::vector<ScaleSpec>{{500, 80, 32, 2, 2},
-                                     {1000, 60, 32, 2, 2},
-                                     {2000, 40, 32, 4, 2}};
+      smoke ? std::vector<ScaleSpec>{{300, 20, 16, 2}}
+            : std::vector<ScaleSpec>{{500, 80, 32, 2},
+                                     {1000, 60, 32, 2},
+                                     {2000, 40, 32, 4}};
 
   std::vector<ScaleReport> scales;
   for (const auto& spec : specs) {
     ScaleReport r = RunScale(vdp, branches, spec.rows, spec.batches,
-                             spec.batch_atoms, spec.readers, spec.workers,
-                             publish_every, trials, /*seed=*/29);
+                             spec.batch_atoms, spec.readers, publish_every,
+                             trials, /*seed=*/29);
     std::fprintf(stderr,
                  "rows=%d serialized=%.0f q/s (p99 %.0fus) "
                  "concurrent=%.0f q/s (p99 %.0fus) mixed_speedup=%.2fx "

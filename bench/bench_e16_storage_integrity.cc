@@ -1,21 +1,19 @@
-// Experiment E16: storage-integrity overhead — what checksummed framing
-// costs in WAL/checkpoint bytes and in recovery time.
+// Experiment E16: storage integrity — what the checksummed (CRC32C-framed)
+// WAL and checkpoints cost in bytes and in recovery time.
 //
 // One workload per scale: a HardState whose T repository holds `rows`
 // tuples, then `txns` update transactions driven through DurabilityManager
 // (enqueue records, begin/commit pairs with per-node deltas and reflect
 // advances, a checkpoint every `ckpt_every` commits — so the log retains the
-// dual-generation structure recovery actually sees). The same workload runs
-// twice, framing on and framing off, and reports per mode:
+// dual-generation structure recovery actually sees). Reported per scale:
 //
 //   - log build time (appends + checkpoints), median-of-3 over fresh devices
 //   - bytes appended (WAL + checkpoints) and bytes retained post-truncation
 //   - Recover() wall time, median-of-3 over fresh managers on one device
 //
 // Self-validation (exports_match): the bench maintains a live oracle
-// HardState alongside the log exactly as the mediator would, and both modes'
-// recovered states must Encode() byte-identical to it — a framing toggle
-// must never change WHAT recovers, only how damage would be detected.
+// HardState alongside the log exactly as the mediator would, and the
+// recovered state must Encode() byte-identical to it.
 //
 // Standalone driver in the E13/E14/E15 mold: emits a JSON report (default
 // BENCH_pr8.json) that bench/run_bench.sh commits as the PR baseline and
@@ -120,7 +118,7 @@ void DriveLog(const WorkloadSpec& spec, DurabilityManager* mgr,
   }
 }
 
-struct ModeStats {
+struct LogStats {
   double build_ms = 0;
   double recover_ms = 0;
   uint64_t records_logged = 0;
@@ -129,11 +127,11 @@ struct ModeStats {
   uint64_t retained_bytes = 0;  // surviving the dual-generation truncation
   uint64_t records_replayed = 0;
   uint64_t txns_replayed = 0;
-  std::string recovered_encoding;  // for the cross-mode/oracle gate
+  bool exports_match = false;  // recovered state == live oracle, byte-wise
 };
 
-ModeStats RunMode(const WorkloadSpec& spec, bool framing) {
-  ModeStats m;
+LogStats RunScale(const WorkloadSpec& spec) {
+  LogStats m;
   // Build timing over fresh devices (a log can only be built once); the last
   // device is the one recovery is then measured against.
   std::vector<double> build_samples;
@@ -141,7 +139,7 @@ ModeStats RunMode(const WorkloadSpec& spec, bool framing) {
   DurabilityOptions opts;
   opts.wal = true;
   opts.checkpoint_every = spec.ckpt_every;
-  opts.framing = framing;
+  std::string expect;  // the live oracle's encoding, from the last build
   for (int i = 0; i < kReps; ++i) {
     MemLogDevice fresh;
     opts.device = (i + 1 == kReps) ? &device : &fresh;
@@ -156,6 +154,7 @@ ModeStats RunMode(const WorkloadSpec& spec, bool framing) {
       m.records_logged = mgr.records_logged();
       m.checkpoints_written = mgr.checkpoints_written();
       m.bytes_logged = mgr.bytes_logged();
+      expect = oracle.Encode();
     }
   }
   m.build_ms = MedianMs(std::move(build_samples));
@@ -165,6 +164,7 @@ ModeStats RunMode(const WorkloadSpec& spec, bool framing) {
   // are independent (Recover bumps the manager's log epoch, not the device).
   opts.device = &device;
   std::vector<double> recover_samples;
+  m.exports_match = true;
   for (int i = 0; i < kReps; ++i) {
     DurabilityManager mgr(opts);
     auto start = std::chrono::steady_clock::now();
@@ -178,52 +178,10 @@ ModeStats RunMode(const WorkloadSpec& spec, bool framing) {
           "anomaly-free recovery");
     m.records_replayed = rec.records_replayed;
     m.txns_replayed = rec.txns_replayed;
-    m.recovered_encoding = rec.state.Encode();
+    if (rec.state.Encode() != expect) m.exports_match = false;
   }
   m.recover_ms = MedianMs(std::move(recover_samples));
   return m;
-}
-
-struct ScaleReport {
-  WorkloadSpec spec;
-  ModeStats framed;
-  ModeStats unframed;
-  double byte_overhead_pct = 0;      // appended bytes, framed vs unframed
-  double retained_overhead_pct = 0;  // post-truncation log size
-  double recover_slowdown = 0;       // framed / unframed recovery time
-  bool exports_match = false;        // both modes == live oracle, byte-wise
-};
-
-ScaleReport RunScale(const WorkloadSpec& spec) {
-  ScaleReport r;
-  r.spec = spec;
-  r.framed = RunMode(spec, /*framing=*/true);
-  r.unframed = RunMode(spec, /*framing=*/false);
-  r.byte_overhead_pct =
-      100.0 * (static_cast<double>(r.framed.bytes_logged) -
-               static_cast<double>(r.unframed.bytes_logged)) /
-      static_cast<double>(r.unframed.bytes_logged);
-  r.retained_overhead_pct =
-      100.0 * (static_cast<double>(r.framed.retained_bytes) -
-               static_cast<double>(r.unframed.retained_bytes)) /
-      static_cast<double>(r.unframed.retained_bytes);
-  r.recover_slowdown = r.framed.recover_ms / r.unframed.recover_ms;
-
-  // The gate: the oracle state the workload maintained live, and both
-  // recovered states, must be one and the same encoding.
-  HardState oracle = BaseState(spec);
-  {
-    MemLogDevice scratch;
-    DurabilityOptions opts;
-    opts.device = &scratch;
-    opts.checkpoint_every = spec.ckpt_every;
-    DurabilityManager mgr(opts);
-    DriveLog(spec, &mgr, &oracle);
-  }
-  const std::string expect = oracle.Encode();
-  r.exports_match = r.framed.recovered_encoding == expect &&
-                    r.unframed.recovered_encoding == expect;
-  return r;
 }
 
 // ---------------------------------------------------------------------------
@@ -236,8 +194,12 @@ std::string Num(double v) {
   return buf;
 }
 
-std::string ModeJson(const ModeStats& m) {
-  return "{\"build_ms\": " + Num(m.build_ms) +
+std::string ScaleJson(const WorkloadSpec& spec, const LogStats& m) {
+  return "{\"rows\": " + std::to_string(spec.rows) +
+         ", \"txns\": " + std::to_string(spec.txns) +
+         ", \"per_txn\": " + std::to_string(spec.per_txn) +
+         ", \"ckpt_every\": " + std::to_string(spec.ckpt_every) +
+         ",\n     \"build_ms\": " + Num(m.build_ms) +
          ", \"recover_ms\": " + Num(m.recover_ms) +
          ", \"records_logged\": " + std::to_string(m.records_logged) +
          ", \"checkpoints_written\": " +
@@ -245,26 +207,20 @@ std::string ModeJson(const ModeStats& m) {
          ", \"bytes_logged\": " + std::to_string(m.bytes_logged) +
          ", \"retained_bytes\": " + std::to_string(m.retained_bytes) +
          ", \"records_replayed\": " + std::to_string(m.records_replayed) +
-         ", \"txns_replayed\": " + std::to_string(m.txns_replayed) + "}";
+         ", \"txns_replayed\": " + std::to_string(m.txns_replayed) +
+         ", \"exports_match\": " + (m.exports_match ? "true" : "false") +
+         "}";
 }
 
-std::string ReportJson(const std::vector<ScaleReport>& scales, bool smoke) {
+std::string ReportJson(const std::vector<WorkloadSpec>& specs,
+                       const std::vector<LogStats>& scales, bool smoke) {
   std::ostringstream out;
   out << "{\n  \"bench\": \"e16_storage_integrity\",\n"
       << "  \"mode\": \"" << (smoke ? "smoke" : "full") << "\",\n"
       << "  \"reps\": " << kReps << ",\n  \"scales\": [\n";
   for (size_t i = 0; i < scales.size(); ++i) {
-    const ScaleReport& r = scales[i];
-    out << "    {\"rows\": " << r.spec.rows << ", \"txns\": " << r.spec.txns
-        << ", \"per_txn\": " << r.spec.per_txn
-        << ", \"ckpt_every\": " << r.spec.ckpt_every << ",\n"
-        << "     \"framed\": " << ModeJson(r.framed) << ",\n"
-        << "     \"unframed\": " << ModeJson(r.unframed) << ",\n"
-        << "     \"byte_overhead_pct\": " << Num(r.byte_overhead_pct)
-        << ", \"retained_overhead_pct\": " << Num(r.retained_overhead_pct)
-        << ", \"recover_slowdown\": " << Num(r.recover_slowdown)
-        << ", \"exports_match\": " << (r.exports_match ? "true" : "false")
-        << "}" << (i + 1 < scales.size() ? "," : "") << "\n";
+    out << "    " << ScaleJson(specs[i], scales[i])
+        << (i + 1 < scales.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
   return out.str();
@@ -272,7 +228,7 @@ std::string ReportJson(const std::vector<ScaleReport>& scales, bool smoke) {
 
 /// Schema check for the emitted report; the SQUIRREL_BENCH_SMOKE ctest runs
 /// this binary and relies on a non-zero exit when the report is malformed or
-/// either mode's recovered state diverged from the live oracle.
+/// a recovered state diverged from the live oracle.
 bool Validate(const std::string& path) {
   std::ifstream in(path);
   if (!in) {
@@ -283,10 +239,8 @@ bool Validate(const std::string& path) {
   buf << in.rdbuf();
   const std::string json = buf.str();
   for (const char* key :
-       {"\"bench\": \"e16_storage_integrity\"", "\"scales\"", "\"framed\"",
-        "\"unframed\"", "\"recover_ms\"", "\"bytes_logged\"",
-        "\"retained_bytes\"", "\"byte_overhead_pct\"",
-        "\"retained_overhead_pct\"", "\"recover_slowdown\"",
+       {"\"bench\": \"e16_storage_integrity\"", "\"scales\"",
+        "\"recover_ms\"", "\"bytes_logged\"", "\"retained_bytes\"",
         "\"exports_match\""}) {
     if (json.find(key) == std::string::npos) {
       std::fprintf(stderr, "FAIL: report missing %s\n", key);
@@ -321,19 +275,17 @@ int Main(int argc, char** argv) {
             : std::vector<WorkloadSpec>{
                   {2000, 240, 3, 64}, {20000, 120, 3, 64}, {100000, 60, 3, 64}};
 
-  std::vector<ScaleReport> scales;
+  std::vector<LogStats> scales;
   for (const WorkloadSpec& spec : specs) {
-    ScaleReport r = RunScale(spec);
+    LogStats r = RunScale(spec);
     std::fprintf(stderr,
-                 "rows=%d txns=%d bytes=%llu/%llu (+%.2f%%) retained +%.2f%% "
-                 "recover=%.2f/%.2fms (%.2fx) match=%s\n",
+                 "rows=%d txns=%d bytes=%llu retained=%llu recover=%.2fms "
+                 "match=%s\n",
                  spec.rows, spec.txns,
-                 static_cast<unsigned long long>(r.framed.bytes_logged),
-                 static_cast<unsigned long long>(r.unframed.bytes_logged),
-                 r.byte_overhead_pct, r.retained_overhead_pct,
-                 r.framed.recover_ms, r.unframed.recover_ms,
-                 r.recover_slowdown, r.exports_match ? "yes" : "NO");
-    scales.push_back(std::move(r));
+                 static_cast<unsigned long long>(r.bytes_logged),
+                 static_cast<unsigned long long>(r.retained_bytes),
+                 r.recover_ms, r.exports_match ? "yes" : "NO");
+    scales.push_back(r);
   }
 
   std::ofstream out(out_path);
@@ -341,7 +293,7 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "FAIL: cannot write %s\n", out_path.c_str());
     return 1;
   }
-  out << ReportJson(scales, smoke);
+  out << ReportJson(specs, scales, smoke);
   out.close();
   return Validate(out_path) ? 0 : 1;
 }

@@ -30,8 +30,8 @@ inline constexpr size_t kCancelCheckRows = 1024;
 
 /// \brief Shared cancellation state for one query execution.
 ///
-/// Cancel() may be called from any thread (the memory budget charges from
-/// IUP worker threads in threaded builds); cancelled() is a relaxed atomic
+/// Cancel() may be called from any thread (a memory budget charges from
+/// whichever thread allocates under it); cancelled() is a relaxed atomic
 /// read so kernel-loop checks stay cheap. The reason is written before the
 /// flag is published (release/acquire), so a reader that observes
 /// cancelled() == true sees the full reason.

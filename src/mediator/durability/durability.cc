@@ -133,9 +133,7 @@ Result<HardState> HardState::Decode(const std::string& bytes) {
 // ---- DurabilityManager: logging -------------------------------------------
 
 Status DurabilityManager::Append(std::string record) {
-  if (opts_.framing) {
-    record = FrameRecord(FrameClass::kRecord, log_epoch_, record);
-  }
+  record = FrameRecord(FrameClass::kRecord, log_epoch_, record);
   bytes_logged_ += record.size();
   ++records_logged_;
   return opts_.device->Append(std::move(record)).status();
@@ -226,12 +224,10 @@ Status DurabilityManager::WriteCheckpoint(const HardState& state) {
   BinaryWriter w;
   w.PutU8(kCheckpoint);
   w.PutString(state.Encode());
-  std::string record = w.Take();
-  if (opts_.framing) {
-    // Checkpoint frames carry the complement magic so a damaged checkpoint
-    // is still recognizably a checkpoint (generation fallback, not kCorrupted).
-    record = FrameRecord(FrameClass::kCheckpoint, log_epoch_, record);
-  }
+  // Checkpoint frames carry the complement magic so a damaged checkpoint
+  // is still recognizably a checkpoint (generation fallback, not kCorrupted).
+  std::string record =
+      FrameRecord(FrameClass::kCheckpoint, log_epoch_, w.Take());
   bytes_logged_ += record.size();
   ++records_logged_;
   ++checkpoints_written_;
@@ -249,13 +245,10 @@ Status DurabilityManager::WriteCheckpoint(const HardState& state) {
 
 namespace {
 
-/// One log record after frame verification (or legacy tag classification).
+/// One log record after frame verification.
 struct ParsedRecord {
   uint64_t lsn = 0;
-  bool valid = false;
-  FrameClass cls = FrameClass::kUnknown;
-  uint64_t log_epoch = 0;
-  std::string payload;  ///< unframed bytes; only meaningful when valid
+  FrameInfo frame;
 };
 
 /// Decodes a verified checkpoint-class payload into \p state. Any failure —
@@ -282,28 +275,11 @@ Result<RecoveredState> DurabilityManager::Recover() {
   }
   SQ_ASSIGN_OR_RETURN(std::vector<LogRecord> records, opts_.device->ReadAll());
 
-  // Pass 1: verify every frame (or, in legacy unframed mode, classify by
-  // tag byte and trust the bytes — an unframed log has no integrity story).
+  // Pass 1: verify every frame.
   std::vector<ParsedRecord> parsed;
   parsed.reserve(records.size());
-  for (auto& rec : records) {
-    ParsedRecord p;
-    p.lsn = rec.lsn;
-    if (opts_.framing) {
-      FrameInfo info = UnframeRecord(rec.bytes);
-      p.valid = info.valid;
-      p.cls = info.frame_class;
-      p.log_epoch = info.log_epoch;
-      p.payload = std::move(info.payload);
-    } else {
-      p.valid = true;
-      p.cls = (!rec.bytes.empty() &&
-               static_cast<uint8_t>(rec.bytes[0]) == kCheckpoint)
-                  ? FrameClass::kCheckpoint
-                  : FrameClass::kRecord;
-      p.payload = std::move(rec.bytes);
-    }
-    parsed.push_back(std::move(p));
+  for (const auto& rec : records) {
+    parsed.push_back({rec.lsn, UnframeRecord(rec.bytes)});
   }
 
   // The log epoch must be non-decreasing along the log: a verified frame
@@ -311,14 +287,14 @@ Result<RecoveredState> DurabilityManager::Recover() {
   // spliced (e.g. a stale acked-then-lost tail resurfaced) — never replay.
   uint64_t max_epoch = 0;
   for (const auto& p : parsed) {
-    if (!p.valid) continue;
-    if (p.log_epoch < max_epoch) {
-      return Status::Corrupted("log epoch regression at LSN " +
-                               std::to_string(p.lsn) + " (epoch " +
-                               std::to_string(p.log_epoch) + " after " +
-                               std::to_string(max_epoch) + ")");
+    if (!p.frame.valid) continue;
+    if (p.frame.log_epoch < max_epoch) {
+      return Status::Corrupted(
+          "log epoch regression at LSN " + std::to_string(p.lsn) +
+          " (epoch " + std::to_string(p.frame.log_epoch) + " after " +
+          std::to_string(max_epoch) + ")");
     }
-    max_epoch = p.log_epoch;
+    max_epoch = p.frame.log_epoch;
   }
 
   // Pass 2: pick the newest checkpoint generation that verifies AND
@@ -330,22 +306,22 @@ Result<RecoveredState> DurabilityManager::Recover() {
   bool have_checkpoint = false;
   uint64_t checkpoint_slots_seen = 0;
   for (size_t i = parsed.size(); i-- > 0;) {
-    if (parsed[i].cls != FrameClass::kCheckpoint) continue;
+    if (parsed[i].frame.frame_class != FrameClass::kCheckpoint) continue;
     ++checkpoint_slots_seen;
-    if (parsed[i].valid) {
-      Status decoded = DecodeCheckpointPayload(parsed[i].payload, &out.state);
+    if (parsed[i].frame.valid) {
+      Status decoded =
+          DecodeCheckpointPayload(parsed[i].frame.payload, &out.state);
       if (decoded.ok()) {
         start = i;
         have_checkpoint = true;
         out.checkpoint_lsn = parsed[i].lsn;
         break;
       }
-      if (!opts_.framing) return decoded;  // legacy: propagate as before
     }
     ++out.checkpoint_fallbacks;
   }
   if (!have_checkpoint) {
-    if (opts_.framing && checkpoint_slots_seen > 0) {
+    if (checkpoint_slots_seen > 0) {
       return Status::Corrupted(
           "no recoverable checkpoint generation: all " +
           std::to_string(checkpoint_slots_seen) +
@@ -371,7 +347,7 @@ Result<RecoveredState> DurabilityManager::Recover() {
     txn_open = false;
   };
   for (size_t i = start + 1; i < parsed.size(); ++i) {
-    if (opts_.framing && parsed[i].lsn != parsed[i - 1].lsn + 1) {
+    if (parsed[i].lsn != parsed[i - 1].lsn + 1) {
       // A hole in the LSN sequence: the device acknowledged record(s) that
       // never reached the read-back (lying fsync). Their effects cannot be
       // reconstructed and replaying around them would silently diverge.
@@ -380,21 +356,21 @@ Result<RecoveredState> DurabilityManager::Recover() {
           std::to_string(parsed[i - 1].lsn) + " and LSN " +
           std::to_string(parsed[i].lsn) + " (acked but not persisted)");
     }
-    if (parsed[i].cls == FrameClass::kCheckpoint && opts_.framing) {
+    if (parsed[i].frame.frame_class == FrameClass::kCheckpoint) {
       // A newer-but-damaged generation (counted as a fallback in pass 2):
       // its complement magic identifies it as a checkpoint even though its
       // body failed verification, so it is skippable — the chosen older
       // generation plus this very suffix covers everything it held.
       continue;
     }
-    if (!parsed[i].valid) {
+    if (!parsed[i].frame.valid) {
       // Triage: a damaged run that reaches the end of the log is repairable
       // tail damage (torn/partial final appends — nothing after them ever
       // became durable). Damage FOLLOWED by a verifiable record means the
       // interior of the log is gone, and with it committed effects.
       bool tail = true;
       for (size_t j = i + 1; j < parsed.size(); ++j) {
-        if (parsed[j].valid) {
+        if (parsed[j].frame.valid) {
           tail = false;
           break;
         }
@@ -408,7 +384,7 @@ Result<RecoveredState> DurabilityManager::Recover() {
                                " (damaged record precedes verified ones)");
     }
     ++out.records_replayed;
-    BinaryReader r(parsed[i].payload);
+    BinaryReader r(parsed[i].frame.payload);
     SQ_ASSIGN_OR_RETURN(uint8_t tag, r.GetU8());
     switch (tag) {
       case kEnqueue: {

@@ -26,6 +26,10 @@
 //   kCheckpoint(hard state)  full serialized hard state; every earlier
 //                            record is then truncated.
 //
+// Every record and checkpoint image is wrapped in a CRC32C frame (magic +
+// checksum + length + log epoch; see integrity.h), which is what lets
+// recovery tell repairable tail damage from interior corruption.
+//
 // Recovery = load the newest checkpoint, then replay the log suffix:
 // enqueues append to the queue (and raise the dedup high-water marks so
 // still-retransmitting sources are suppressed), commits pop their messages
@@ -62,11 +66,6 @@ struct DurabilityOptions {
   /// Update commits between periodic checkpoints; 0 = only the initial
   /// checkpoint written at Start().
   uint64_t checkpoint_every = 16;
-  /// Wrap every WAL record and checkpoint image in a CRC32C frame (magic +
-  /// checksum + length + log epoch; see integrity.h). Off only for the
-  /// framing-overhead benchmark — an unframed log cannot distinguish tail
-  /// damage from interior corruption.
-  bool framing = true;
   /// Paranoid recovery: re-initiate anti-entropy resync for every mirrored
   /// source after ANY recovery, not just when integrity anomalies were
   /// observed. Deployments on storage that may ack-then-lose writes (lying
@@ -131,7 +130,7 @@ struct RecoveredState {
   uint64_t txns_replayed = 0;       ///< commits re-applied
   uint64_t txns_rolled_back = 0;    ///< begins without commit/abort
   uint64_t msgs_requeued = 0;       ///< messages returned by rollbacks
-  // ---- integrity triage (framing mode) ----
+  // ---- integrity triage ----
   /// Damaged trailing records dropped as repairable tail damage (torn or
   /// partially persisted final appends).
   uint64_t tail_records_dropped = 0;

@@ -1,13 +1,9 @@
 #include "mediator/iup.h"
 
-#include <algorithm>
-#include <functional>
-#include <optional>
 #include <set>
 #include <utility>
 
 #include "common/strings.h"
-#include "common/thread_pool.h"
 #include "delta/delta_algebra.h"
 #include "vdp/rules.h"
 
@@ -114,73 +110,6 @@ Result<std::vector<TempRequest>> Iup::PrepareTempRequests(
   return deduped;
 }
 
-namespace {
-
-/// One node's worth of rule firings inside a wave: the firing thread fills
-/// `contributions` (one slot per parent, in Parents() order); the
-/// coordinator merges them afterwards, on its own thread, in serial order.
-struct NodeFiring {
-  std::string node;
-  const Delta* delta = nullptr;  ///< stable: lives in leaf_deltas or pending
-  std::vector<std::string> parent_names;
-  std::vector<std::optional<Result<Delta>>> contributions;
-};
-
-/// Fires every NodeFiring on the pool (workers only read committed
-/// store/temp state), then merges the contributions into \p pending on the
-/// calling thread, in exactly the order the serial kernel would have:
-/// firings in the given order, parents in Parents() order. Errors surface
-/// in serial order too, so a failing schedule reports the same node first.
-Status RunFiringWave(const Vdp* vdp, ThreadPool* pool,
-                     std::vector<NodeFiring>* firings,
-                     const NodeStateFn& states, const IndexProbeFn& probes,
-                     std::map<std::string, Delta>* pending, IupStats* stats) {
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(firings->size());
-  for (auto& f : *firings) {
-    tasks.push_back([vdp, &f, &states, &probes] {
-      for (size_t p = 0; p < f.parent_names.size(); ++p) {
-        const VdpNode* parent = vdp->Find(f.parent_names[p]);
-        f.contributions[p].emplace(
-            FireEdgeRules(*parent, f.node, *f.delta, states, probes));
-      }
-    });
-  }
-  pool->RunAll(tasks);
-  for (auto& f : *firings) {
-    for (size_t p = 0; p < f.parent_names.size(); ++p) {
-      SQ_ASSIGN_OR_RETURN(Delta contribution, std::move(*f.contributions[p]));
-      ++stats->rules_fired;
-      stats->atoms_propagated += contribution.AtomCount();
-      const VdpNode* parent = vdp->Find(f.parent_names[p]);
-      auto [it, inserted] =
-          pending->try_emplace(f.parent_names[p], Delta(parent->schema));
-      (void)inserted;
-      SQ_RETURN_IF_ERROR(it->second.SmashInPlace(contribution));
-    }
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-std::map<std::string, int> Iup::NodeLevels() const {
-  std::map<std::string, int> levels;
-  for (const auto& name : vdp_->TopoOrder()) {
-    const VdpNode* node = vdp_->Find(name);
-    if (node->is_leaf) {
-      levels[name] = 0;
-      continue;
-    }
-    int level = 0;
-    for (const auto& child : node->def->Children()) {
-      level = std::max(level, levels[child]);
-    }
-    levels[name] = level + 1;
-  }
-  return levels;
-}
-
 Result<IupStats> Iup::RunKernel(
     const std::map<std::string, Delta>& leaf_deltas, TempStore* temps) {
   NodeStateFn states =
@@ -220,19 +149,25 @@ Result<IupStats> Iup::RunKernel(
     };
   }
 
-  if (pool_ != nullptr && pool_->workers() > 0) {
-    return RunKernelParallel(leaf_deltas, temps, states, probes);
-  }
-  return RunKernelSerial(leaf_deltas, temps, states, probes);
-}
-
-Result<IupStats> Iup::RunKernelSerial(
-    const std::map<std::string, Delta>& leaf_deltas, TempStore* temps,
-    const NodeStateFn& states, const IndexProbeFn& probes) {
   IupStats stats;
 
   // Pending deltas (the ΔR repositories of §6.4).
   std::map<std::string, Delta> pending;
+
+  // Fires every rule out of \p node into its parents' pending deltas.
+  auto fire_into_parents = [&](const std::string& node,
+                               const Delta& delta) -> Status {
+    for (const auto& parent_name : vdp_->Parents(node)) {
+      const VdpNode* parent = vdp_->Find(parent_name);
+      SQ_ASSIGN_OR_RETURN(Delta contribution,
+                          FireEdgeRules(*parent, node, delta, states, probes));
+      ++stats.rules_fired;
+      stats.atoms_propagated += contribution.AtomCount();
+      auto it = pending.try_emplace(parent_name, Delta(parent->schema)).first;
+      SQ_RETURN_IF_ERROR(it->second.SmashInPlace(contribution));
+    }
+    return Status::OK();
+  };
 
   // Initialization (step 1): fire all rules out of the changed leaves.
   for (const auto& [leaf, delta] : leaf_deltas) {
@@ -242,17 +177,7 @@ Result<IupStats> Iup::RunKernelSerial(
     if (!leaf_node->is_leaf) {
       return Status::InvalidArgument("leaf delta for non-leaf node " + leaf);
     }
-    for (const auto& parent_name : vdp_->Parents(leaf)) {
-      SQ_ASSIGN_OR_RETURN(const VdpNode* parent, vdp_->Get(parent_name));
-      SQ_ASSIGN_OR_RETURN(Delta contribution,
-                          FireEdgeRules(*parent, leaf, delta, states, probes));
-      ++stats.rules_fired;
-      stats.atoms_propagated += contribution.AtomCount();
-      auto [it, inserted] =
-          pending.try_emplace(parent_name, Delta(parent->schema));
-      (void)inserted;
-      SQ_RETURN_IF_ERROR(it->second.SmashInPlace(contribution));
-    }
+    SQ_RETURN_IF_ERROR(fire_into_parents(leaf, delta));
   }
 
   // Upward traversal (step 2): process non-leaf nodes children-first.
@@ -264,17 +189,7 @@ Result<IupStats> Iup::RunKernelSerial(
     const Delta& delta = pit->second;
 
     // Fire all rules out of this node before applying its delta.
-    for (const auto& parent_name : vdp_->Parents(name)) {
-      const VdpNode* parent = vdp_->Find(parent_name);
-      SQ_ASSIGN_OR_RETURN(Delta contribution,
-                          FireEdgeRules(*parent, name, delta, states, probes));
-      ++stats.rules_fired;
-      stats.atoms_propagated += contribution.AtomCount();
-      auto [it, inserted] =
-          pending.try_emplace(parent_name, Delta(parent->schema));
-      (void)inserted;
-      SQ_RETURN_IF_ERROR(it->second.SmashInPlace(contribution));
-    }
+    SQ_RETURN_IF_ERROR(fire_into_parents(name, delta));
 
     // Process the node: apply the delta to repository and temporary.
     if (store_->HasRepo(name)) {
@@ -285,112 +200,6 @@ Result<IupStats> Iup::RunKernelSerial(
     }
     ++stats.nodes_processed;
     pending.erase(pit);  // ΔR := ∅
-  }
-  return stats;
-}
-
-Result<IupStats> Iup::RunKernelParallel(
-    const std::map<std::string, Delta>& leaf_deltas, TempStore* temps,
-    const NodeStateFn& states, const IndexProbeFn& probes) {
-  IupStats stats;
-  std::map<std::string, Delta> pending;
-
-  // Initialization (step 1): leaf firings read only committed state — no
-  // repository is applied during step 1 — so every changed leaf fires
-  // concurrently regardless of shared parents; the merge below reproduces
-  // the serial SmashInPlace order (leaf map order × Parents() order).
-  std::vector<NodeFiring> leaf_firings;
-  for (const auto& [leaf, delta] : leaf_deltas) {
-    if (delta.Empty()) continue;
-    stats.atoms_in += delta.AtomCount();
-    SQ_ASSIGN_OR_RETURN(const VdpNode* leaf_node, vdp_->Get(leaf));
-    if (!leaf_node->is_leaf) {
-      return Status::InvalidArgument("leaf delta for non-leaf node " + leaf);
-    }
-    NodeFiring f;
-    f.node = leaf;
-    f.delta = &delta;
-    f.parent_names = vdp_->Parents(leaf);
-    f.contributions.resize(f.parent_names.size());
-    leaf_firings.push_back(std::move(f));
-  }
-  SQ_RETURN_IF_ERROR(RunFiringWave(vdp_, pool_, &leaf_firings, states, probes,
-                                   &pending, &stats));
-
-  // Upward traversal (step 2), level by level. Contributions only flow to
-  // strict ancestors (higher levels), so when a level starts, the pending
-  // deltas of its nodes are final — identical to what the serial kernel
-  // would see on reaching each node in topo order. Within a level, a wave
-  // is a maximal RUN (no skipping: reordering would reorder sibling reads)
-  // of ready nodes whose parent sets are pairwise disjoint: wave members
-  // never read each other's repositories (a firing reads exactly
-  // children(parents(node)), and a shared parent is the only way a wave
-  // peer can be in that set), so firing them against the pre-wave state
-  // equals the serial fire-then-apply interleaving.
-  const auto levels = NodeLevels();
-  std::map<int, std::vector<std::string>> by_level;
-  for (const auto& name : vdp_->TopoOrder()) {
-    if (vdp_->Find(name)->is_leaf) continue;
-    by_level[levels.at(name)].push_back(name);
-  }
-  for (const auto& [level, names] : by_level) {
-    (void)level;
-    std::vector<std::string> ready;
-    for (const auto& name : names) {
-      auto pit = pending.find(name);
-      if (pit != pending.end() && !pit->second.Empty()) ready.push_back(name);
-    }
-    size_t i = 0;
-    while (i < ready.size()) {
-      // Extend the wave while the next ready node conflicts with nobody.
-      std::set<std::string> wave_parents;
-      size_t j = i;
-      while (j < ready.size()) {
-        const auto parents = vdp_->Parents(ready[j]);
-        bool conflict = false;
-        for (const auto& p : parents) {
-          if (wave_parents.count(p)) {
-            conflict = true;
-            break;
-          }
-        }
-        if (conflict) break;  // j > i always: the first member never conflicts
-        wave_parents.insert(parents.begin(), parents.end());
-        ++j;
-      }
-
-      // Fire the wave [i, j) concurrently, then merge serially.
-      std::vector<NodeFiring> firings;
-      firings.reserve(j - i);
-      for (size_t k = i; k < j; ++k) {
-        NodeFiring f;
-        f.node = ready[k];
-        f.delta = &pending.find(ready[k])->second;
-        f.parent_names = vdp_->Parents(ready[k]);
-        f.contributions.resize(f.parent_names.size());
-        firings.push_back(std::move(f));
-      }
-      SQ_RETURN_IF_ERROR(RunFiringWave(vdp_, pool_, &firings, states, probes,
-                                       &pending, &stats));
-
-      // Process the wave's nodes: apply deltas in topo order, ΔR := ∅.
-      // (Merging touched only pending entries of ANCESTORS — strictly
-      // higher levels — so each wave node's delta is still what it fired.)
-      for (size_t k = i; k < j; ++k) {
-        const std::string& name = ready[k];
-        auto pit = pending.find(name);
-        const Delta& delta = pit->second;
-        if (store_->HasRepo(name)) {
-          SQ_RETURN_IF_ERROR(store_->ApplyNodeDelta(name, delta));
-        }
-        if (temps != nullptr) {
-          SQ_RETURN_IF_ERROR(temps->ApplyNodeDelta(name, delta));
-        }
-        ++stats.nodes_processed;
-        pending.erase(pit);
-      }
-      i = j;
-    }
   }
   return stats;
 }

@@ -31,15 +31,7 @@
 
 namespace squirrel {
 
-class ThreadPool;
-
 /// Counters describing one IUP run.
-///
-/// Threading contract: IupStats is plain data with no internal
-/// synchronization. The parallel kernel never lets workers touch a shared
-/// instance — counters are derived on the coordinator thread from each
-/// firing's returned contribution and folded in with Merge(), in serial
-/// order, so stats are byte-identical between serial and threaded runs.
 struct IupStats {
   uint64_t rules_fired = 0;       ///< edge-rule firings with non-empty input
   uint64_t atoms_in = 0;          ///< delta atoms entering at the leaves
@@ -79,39 +71,11 @@ class Iup {
   Result<IupStats> RunKernel(const std::map<std::string, Delta>& leaf_deltas,
                              TempStore* temps);
 
-  /// Arms (non-null pool with >= 1 worker) or disarms (nullptr) the parallel
-  /// kernel. The pool is not owned and must outlive the Iup. With no pool —
-  /// or a 0-worker pool — RunKernel is the deterministic serial oracle.
-  ///
-  /// The parallel kernel is equivalent by construction: nodes at the same
-  /// VDP level whose parent sets are disjoint fire concurrently (firings
-  /// only READ sibling/self state, which no wave member mutates), while
-  /// every write — merging contributions into pending ΔR repositories and
-  /// applying deltas to store/temporaries — stays on the calling thread, in
-  /// exactly the serial kernel's order. See DESIGN.md §11.
-  void SetThreadPool(ThreadPool* pool) { pool_ = pool; }
-
-  /// The pool driving the parallel kernel (nullptr in serial mode).
-  ThreadPool* thread_pool() const { return pool_; }
-
  private:
-  Result<IupStats> RunKernelSerial(
-      const std::map<std::string, Delta>& leaf_deltas, TempStore* temps,
-      const NodeStateFn& states, const IndexProbeFn& probes);
-  Result<IupStats> RunKernelParallel(
-      const std::map<std::string, Delta>& leaf_deltas, TempStore* temps,
-      const NodeStateFn& states, const IndexProbeFn& probes);
-
-  /// Level of each node: 0 for leaves, 1 + max(children) otherwise. There
-  /// are no VDP edges within a level, so a level-L node's firing can never
-  /// feed another level-L node's pending delta.
-  std::map<std::string, int> NodeLevels() const;
-
   const Vdp* vdp_;
   const Annotation* ann_;
   LocalStore* store_;
   const Vap* vap_;
-  ThreadPool* pool_ = nullptr;
 };
 
 }  // namespace squirrel

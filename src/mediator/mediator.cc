@@ -8,7 +8,6 @@
 #include "common/strings.h"
 #include "delta/delta_algebra.h"
 #include "mediator/durability/serialize.h"
-#include "relational/columnar.h"
 #include "relational/operators.h"
 
 namespace squirrel {
@@ -81,11 +80,6 @@ Result<std::unique_ptr<Mediator>> Mediator::Create(
                                     med->store_.get(), options.strategy);
   med->iup_ = std::make_unique<Iup>(&med->vdp_, &med->ann_,
                                     med->store_.get(), med->vap_.get());
-  if (options.iup_threads > 0) {
-    med->iup_pool_ = std::make_unique<ThreadPool>(options.iup_threads);
-    med->iup_pool_->SetPerturbSeed(options.iup_perturb_seed);
-    med->iup_->SetThreadPool(med->iup_pool_.get());
-  }
   med->qp_ = std::make_unique<QueryProcessor>(&med->vdp_, &med->ann_,
                                               med->store_.get(),
                                               med->vap_.get());
@@ -173,7 +167,6 @@ Status Mediator::Start() {
   if (started_) return Status::FailedPrecondition("mediator already started");
   started_ = true;
   view_init_time_ = scheduler_->Now();
-  columnar::SetEnabled(options_.columnar);
 
   // Wire channels, announcers (active sources), and poll responders.
   for (auto& rt : sources_) {
@@ -331,7 +324,7 @@ void Mediator::OnSourceMessage(SourceToMediatorMsg msg) {
   ++stats_.messages_received;
   if (std::holds_alternative<UpdateMessage>(msg)) {
     UpdateMessage upd = std::get<UpdateMessage>(std::move(msg));
-    if (upd.checksum != 0 && upd.checksum != ChecksumUpdateMessage(upd)) {
+    if (upd.checksum != ChecksumUpdateMessage(upd)) {
       // Payload corrupted in transit. Drop WITHOUT touching the dedup
       // floor: the seq gap the loss opens is healed by ARQ redelivery or,
       // failing that, the seq-gap resync below — never silently applied.
@@ -742,7 +735,7 @@ void Mediator::OnSnapshotAnswer(SnapshotAnswer ans) {
     ++stats_.stale_poll_answers;
     return;
   }
-  if (ans.checksum != 0 && ans.checksum != ChecksumSnapshotAnswer(ans)) {
+  if (ans.checksum != ChecksumSnapshotAnswer(ans)) {
     // A poisoned snapshot would not merely lose an update — Corrective()
     // would compute a wrong diff and OVERWRITE good mirror state with it.
     // Drop the answer and pull again under a fresh id; corruption is

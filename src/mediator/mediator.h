@@ -21,7 +21,6 @@
 #include "common/cancel.h"
 #include "common/query_class.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "mediator/admission.h"
 #include "mediator/contributor.h"
 #include "mediator/durability/durability.h"
@@ -110,7 +109,7 @@ struct MediatorOptions {
   /// answer may be lost to a crash window). Backed off per attempt like
   /// polls are.
   Time resync_retry_delay = 2.0;
-  // ---- concurrency (PR: MVCC reads + parallel IUP) ----
+  // ---- concurrency (DESIGN.md §11) ----
   /// MVCC reads: serve poll-free queries from the latest committed store
   /// snapshot instead of enqueueing them behind the transaction queue —
   /// queries never block on (or behind) an in-flight update transaction
@@ -118,20 +117,6 @@ struct MediatorOptions {
   /// sources still serialize as transactions. Off = every query is a
   /// serialized transaction (the pre-existing behavior and the oracle).
   bool mvcc_reads = false;
-  /// > 0: run the IUP kernel's rule firings on this many pool workers
-  /// (equivalence with the serial kernel is by construction; the sweep
-  /// proves it byte-identical per seed). 0 = serial kernel (the oracle).
-  int iup_threads = 0;
-  /// Nonzero: perturb worker scheduling (seeded yields/sleeps) to shake
-  /// out ordering assumptions under TSan. 0 = no perturbation.
-  uint64_t iup_perturb_seed = 0;
-  // ---- execution engine (PR: columnar batch execution) ----
-  /// Route large-enough select/project/join/delta kernels through the
-  /// columnar batch engine (see relational/columnar.h). The row-at-a-time
-  /// operators remain the oracle; results are identical by construction
-  /// and the equivalence sweep proves it byte-for-byte per seed. Applied
-  /// process-wide at Start (the engine switch is global).
-  bool columnar = true;
   // ---- overload protection (DESIGN.md §15) ----
   /// Per-class admission limits. All-zero (the default) disables the gate.
   AdmissionOptions admission;
@@ -390,6 +375,9 @@ class Mediator {
     std::function<void(const Status&)> on_failure;
   };
 
+  /// Tests hand wire messages straight to OnSourceMessage.
+  friend class MediatorTestPeer;
+
   Mediator() = default;
 
   void OnSourceMessage(SourceToMediatorMsg msg);
@@ -489,8 +477,6 @@ class Mediator {
   std::unique_ptr<Vap> vap_;
   std::unique_ptr<Iup> iup_;
   std::unique_ptr<QueryProcessor> qp_;
-  /// Worker pool for the parallel IUP kernel (null when iup_threads == 0).
-  std::unique_ptr<ThreadPool> iup_pool_;
   UpdateQueue queue_;
   std::unique_ptr<Trace> trace_;
   MediatorStats stats_;

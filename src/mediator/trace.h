@@ -43,8 +43,8 @@ struct TraceEntry {
 /// \brief An append-only transaction log.
 ///
 /// Appends are serialized by an internal mutex so commit paths running off
-/// the coordinator thread (the concurrent mediator's worker pool, bench
-/// drivers) can record entries without racing. Readers (entries(), notes(),
+/// the coordinator thread (bench drivers) can record entries without
+/// racing. Readers (entries(), notes(),
 /// ToString()) are NOT synchronized against concurrent appends — they are
 /// meant for after the run, or for callers who externally quiesce writers
 /// first, exactly like the consistency/freshness checkers do.

@@ -34,8 +34,8 @@ struct UpdateMessage {
   uint64_t epoch = 1;  ///< source incarnation; bumps on crash/restart
   MultiDelta delta;    ///< net changes since the previous announcement
   /// CRC32C of the message's canonical encoding (ChecksumUpdateMessage),
-  /// verified at receipt. 0 = unchecksummed (legacy senders / hand-built
-  /// test messages); verification is skipped then.
+  /// stamped by every sender and verified unconditionally at receipt: a
+  /// mismatch (a zeroed field included) drops the message.
   uint32_t checksum = 0;
 };
 
@@ -97,7 +97,8 @@ struct SnapshotAnswer {
   std::map<std::string, Relation> relations;  ///< full extents by name
   /// CRC32C of the answer's canonical encoding (ChecksumSnapshotAnswer). A
   /// mismatch at the mediator triggers a snapshot re-request instead of
-  /// poisoning the believed-state mirror. 0 = unchecksummed.
+  /// poisoning the believed-state mirror. Stamped by every responder and
+  /// verified unconditionally, so a zeroed field is a mismatch too.
   uint32_t checksum = 0;
 };
 

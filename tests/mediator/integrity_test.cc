@@ -2,13 +2,15 @@
 // verification under truncation and bit flips, the HardState codec fuzzed at
 // every offset (decode must error or round-trip — never crash, and under a
 // checksummed frame a flipped bit can never masquerade as success), wire
-// checksum sensitivity, and the lying-disk decorator's fault surface as seen
-// by DurabilityManager::Recover (tail repair, generation fallback, typed
+// checksum sensitivity and unconditional verification at the mediator, and
+// the lying-disk decorator's fault surface as seen by
+// DurabilityManager::Recover (tail repair, generation fallback, typed
 // kCorrupted refusal).
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -18,9 +20,21 @@
 #include "mediator/durability/integrity.h"
 #include "mediator/durability/log_device.h"
 #include "mediator/durability/serialize.h"
+#include "mediator/mediator.h"
 #include "relational/parser.h"
+#include "sim/fault.h"
+#include "vdp/paper_examples.h"
 
 namespace squirrel {
+
+/// Delivers a hand-built wire message to a mediator as if its channel had.
+class MediatorTestPeer {
+ public:
+  static void Deliver(Mediator* med, SourceToMediatorMsg msg) {
+    med->OnSourceMessage(std::move(msg));
+  }
+};
+
 namespace {
 
 Schema TestSchema(const std::string& decl) {
@@ -226,6 +240,92 @@ UpdateMessage FuzzMessage() {
   Delta* s = msg.delta.Mutable("S", TestSchema("S(x)"));
   EXPECT_TRUE(s->AddDelete(Tuple({-7})).ok());
   return msg;
+}
+
+// ---- mediator-side verification ----------------------------------------
+
+/// Figure 1 (Example 2.1, fully materialized) over two one-row sources; DB1
+/// restarts over [2, 3] so the mediator resyncs it right after.
+class WireVerificationTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    db1_ = std::make_unique<SourceDb>("DB1");
+    db2_ = std::make_unique<SourceDb>("DB2");
+    ASSERT_TRUE(
+        db1_->AddRelation("R", TestSchema("R(r1, r2, r3, r4) key(r1)")).ok());
+    ASSERT_TRUE(
+        db2_->AddRelation("S", TestSchema("S(s1, s2, s3) key(s1)")).ok());
+    ASSERT_TRUE(db1_->InsertTuple(0, "R", Tuple({1, 100, 11, 100})).ok());
+    ASSERT_TRUE(db2_->InsertTuple(0, "S", Tuple({100, 5, 10})).ok());
+    FaultPlan plan;
+    plan.restarts["DB1"] = {{2.0, 3.0}};
+    inj1_ = std::make_unique<FaultInjector>(std::move(plan), 1);
+    auto vdp = BuildFigure1Vdp();
+    ASSERT_TRUE(vdp.ok());
+    MediatorOptions options;
+    options.poll_timeout = 2.0;
+    std::vector<SourceSetup> setups = {{db1_.get(), 0.5, 0.2, 0.0, inj1_.get()},
+                                       {db2_.get(), 0.5, 0.2, 0.0, nullptr}};
+    auto med = Mediator::Create(*vdp, AnnotationExample21(), setups,
+                                &scheduler_, options);
+    ASSERT_TRUE(med.ok()) << med.status().ToString();
+    med_ = std::move(med).value();
+    ASSERT_TRUE(med_->Start().ok());
+  }
+
+  Scheduler scheduler_;
+  std::unique_ptr<SourceDb> db1_, db2_;
+  std::unique_ptr<FaultInjector> inj1_;
+  std::unique_ptr<Mediator> med_;
+};
+
+TEST_F(WireVerificationTest, ZeroedUpdateChecksumIsRejectedAndCounted) {
+  scheduler_.RunUntil(1.0);
+  UpdateMessage msg;
+  msg.source = "DB1";
+  msg.send_time = 1.0;
+  msg.seq = 1;
+  msg.epoch = 1;
+  Delta* d = msg.delta.Mutable("R", TestSchema("R(r1, r2, r3, r4) key(r1)"));
+  ASSERT_TRUE(d->AddInsert(Tuple({2, 100, 22, 100})).ok());
+  ASSERT_NE(ChecksumUpdateMessage(msg), 0u);  // so 0 really is a corruption
+  msg.checksum = 0;
+  MediatorTestPeer::Deliver(med_.get(), msg);
+  EXPECT_EQ(med_->stats().update_checksum_failures, 1u);
+  EXPECT_EQ(med_->QueueSize(), 0u);
+
+  // The same message, correctly stamped, is accepted: the rejection above
+  // was the checksum's doing alone.
+  msg.checksum = ChecksumUpdateMessage(msg);
+  MediatorTestPeer::Deliver(med_.get(), msg);
+  scheduler_.RunUntil(1.5);
+  EXPECT_EQ(med_->stats().update_checksum_failures, 1u);
+  EXPECT_EQ(med_->stats().update_txns, 1u);
+}
+
+TEST_F(WireVerificationTest, ZeroedSnapshotChecksumIsRejectedAndCounted) {
+  // DB1's restart at 3 makes the mediator request a snapshot; catch the
+  // request while it is outstanding, before the real answer arrives.
+  while (med_->resync().OutstandingRequest("DB1") == 0 &&
+         scheduler_.Now() < 10.0) {
+    scheduler_.RunUntil(scheduler_.Now() + 0.05);
+  }
+  const uint64_t id = med_->resync().OutstandingRequest("DB1");
+  ASSERT_NE(id, 0u) << "no snapshot request was issued";
+  SnapshotAnswer ans;
+  ans.id = id;
+  ans.source = "DB1";
+  ans.answered_at = scheduler_.Now();
+  ans.epoch = med_->resync().Epoch("DB1");
+  auto r = db1_->Current("R");
+  ASSERT_TRUE(r.ok());
+  ans.relations.emplace("R", **r);
+  ASSERT_NE(ChecksumSnapshotAnswer(ans), 0u);
+  ans.checksum = 0;
+  MediatorTestPeer::Deliver(med_.get(), ans);
+  EXPECT_EQ(med_->stats().snapshot_checksum_failures, 1u);
+  // Rejected answers are re-requested under a fresh id.
+  EXPECT_NE(med_->resync().OutstandingRequest("DB1"), id);
 }
 
 TEST(WireCodecFuzzTest, UpdateMessageTruncationAtEveryOffsetFailsCleanly) {
@@ -671,20 +771,6 @@ TEST(RecoveryTriageTest, FsyncDropOfTailRecordIsTailRepair) {
   // the anomaly machinery cannot fire. This is exactly why
   // resync_on_recovery exists — assert the silent case stays silent here.
   EXPECT_EQ(rec->state.queue.size(), 1u);
-}
-
-TEST(RecoveryTriageTest, LegacyUnframedLogsStillRecover) {
-  // framing=false reads logs written by pre-integrity builds.
-  MemLogDevice dev;
-  DurabilityOptions o = Opts(&dev);
-  o.framing = false;
-  DurabilityManager mgr(o);
-  ASSERT_TRUE(mgr.WriteCheckpoint(HardState{}).ok());
-  ASSERT_TRUE(mgr.LogEnqueue(Msg("DB1", 1, 1.0)).ok());
-  auto rec = mgr.Recover();
-  ASSERT_TRUE(rec.ok()) << rec.status().ToString();
-  EXPECT_EQ(rec->state.queue.size(), 1u);
-  EXPECT_EQ(rec->tail_records_dropped, 0u);
 }
 
 }  // namespace

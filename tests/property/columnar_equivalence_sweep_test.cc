@@ -33,7 +33,6 @@ struct Scenario {
   int mediator_crashes = 0;
   int source_restarts = 0;
   bool mvcc = false;
-  int iup_threads = 0;
   bool use_indexes = false;
 };
 
@@ -47,8 +46,8 @@ Scenario ChunkScenario(int chunk) {
       return {.durability = true, .source_restarts = 2};
     case 3:  // MVCC snapshot reads (exports-only comparison)
       return {.mvcc = true};
-    default:  // threaded IUP kernel + index hints
-      return {.iup_threads = 2, .use_indexes = true};
+    default:  // index hints
+      return {.use_indexes = true};
   }
 }
 
@@ -59,7 +58,6 @@ FaultSimOptions ChunkOptions(const Scenario& s, bool columnar) {
   opts.mediator_crashes = s.mediator_crashes;
   opts.source_restarts = s.source_restarts;
   opts.mvcc_reads = s.mvcc;
-  opts.iup_threads = s.iup_threads;
   opts.use_indexes = s.use_indexes;
   opts.columnar = columnar;
   return opts;

@@ -41,7 +41,6 @@ struct Scenario {
   size_t memory_soft_limit = 0;
   Time poll_backoff_cap = 0;
   double poll_jitter = 0;
-  int iup_threads = 0;
   FaultSimOptions::Topology topology = FaultSimOptions::Topology::kSingle;
 };
 
@@ -61,10 +60,10 @@ Scenario ChunkScenario(int chunk) {
              // sheds every kBatch storm query; interactive work continues
       return {.query_storm = 25, .admit_max_active = 4, .admit_max_queued = 4,
               .memory_soft_limit = 1};
-    default:  // sharded 3-tier + deadlines + threaded IUP (the TSan chunk):
-              // deadlines propagate to child tiers minus the margin
+    default:  // sharded 3-tier + deadlines: deadlines propagate to child
+              // tiers minus the margin
       return {.query_storm = 10, .query_deadline = 2.0,
-              .degraded_reads = true, .iup_threads = 2,
+              .degraded_reads = true,
               .topology = FaultSimOptions::Topology::kThreeTier};
   }
 }
@@ -72,7 +71,6 @@ Scenario ChunkScenario(int chunk) {
 FaultSimOptions ChunkOptions(const Scenario& s, bool overload_on) {
   FaultSimOptions opts;
   opts.degraded_reads = s.degraded_reads;
-  opts.iup_threads = s.iup_threads;
   opts.topology = s.topology;
   if (overload_on) {
     opts.query_storm = s.query_storm;
@@ -97,7 +95,7 @@ TEST_P(OverloadSweep, TypedOutcomesAndExportsMatchNoOverloadOracle) {
   uint64_t total_shed_soft = 0;
   for (uint64_t seed = base; seed < base + kSeedsPerChunk; ++seed) {
     // The oracle: the same scenario with every overload knob off (same
-    // topology/degraded/threads, no storm, no limits).
+    // topology/degraded reads, no storm, no limits).
     auto oracle = RunFaultSim(seed, ChunkOptions(scenario, false));
     ASSERT_TRUE(oracle.ok()) << "[seed " << seed << "] no-overload oracle: "
                              << oracle.status().ToString();

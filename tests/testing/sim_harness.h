@@ -69,14 +69,7 @@ struct FaultSimOptions {
   /// Fail the run if any source ends quarantined or not healthy after the
   /// drain + final queries (the resync sweep's no-permanent-outage check).
   bool require_all_healthy = false;
-  // ---- concurrent mediator (PR: MVCC reads + parallel IUP) ----
-  /// > 0: run the IUP kernel's rule firings on this many pool workers.
-  /// The concurrent-equivalence sweep asserts a threaded run's trace is
-  /// byte-identical to the serial (iup_threads = 0) oracle per seed.
-  int iup_threads = 0;
-  /// Nonzero: seeded worker-scheduling perturbation (yields/sleeps) to
-  /// shake out ordering assumptions; results must not change.
-  uint64_t iup_perturb_seed = 0;
+  // ---- concurrent mediator (MVCC reads) ----
   /// MediatorOptions::mvcc_reads — poll-free queries served lock-free from
   /// the latest committed store snapshot instead of the transaction queue.
   /// Changes query scheduling (trace dumps are NOT comparable to the
@@ -139,9 +132,8 @@ struct FaultSimOptions {
   /// the harness's final correctness queries must always run.
   uint32_t admit_max_active = 0;
   uint32_t admit_max_queued = 0;
-  /// Process-global memory budget for the run (bytes; 0 = off). Hard-limit
-  /// cancellations require iup_threads = 0 setups in the sweeps only for
-  /// determinism of WHICH query dies; accounting itself is thread-safe.
+  /// Process-global memory budget for the run (bytes; 0 = off); accounting
+  /// is thread-safe.
   size_t memory_soft_limit = 0;
   size_t memory_hard_limit = 0;
   /// Poll-timeout backoff ceiling and seeded jitter (MediatorOptions
