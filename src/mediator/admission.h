@@ -7,8 +7,9 @@
 // a typed kOverloaded status carrying a retry-after hint, instead of
 // queueing unboundedly behind the serialized transaction loop. A query
 // holds its slot from admission until its callback resolves (answer,
-// degraded answer, or typed error), so MVCC snapshot queries — which
-// overlap freely — are bounded too.
+// degraded answer, or typed error), so poll-free queries answered from the
+// committed store — which never wait for the transaction queue — are
+// bounded too.
 //
 // The gate also implements the memory-budget soft-limit policy: while the
 // installed MemoryBudget reports SoftBreached(), kBatch admissions are

@@ -35,7 +35,8 @@ enum RecordTag : uint8_t {
 
 // Checkpoint format version, bumped on incompatible layout changes.
 // v2 adds per-source epoch/health, the resync mirrors, and the
-// snapshot-request id counter. v3 adds the MVCC snapshot-version counter.
+// snapshot-request id counter. v3 adds a snapshot-version counter (always 0
+// since the store dropped versioned snapshots; kept so the layout is stable).
 constexpr uint32_t kHardStateVersion = 3;
 
 }  // namespace

@@ -97,10 +97,9 @@ struct HardState {
   /// Snapshot-request id counter (never reused across incarnations, so a
   /// pre-crash snapshot answer can never satisfy a post-crash request).
   uint64_t next_resync_id = 1;
-  /// MVCC publish counter (LocalStore::SnapshotVersion) at checkpoint time.
-  /// Recovery fast-forwards the store's counter past it, so post-recovery
-  /// snapshot versions never collide with pre-crash ones a reader may still
-  /// be pinning.
+  /// Format field of checkpoint v3, once the count of published store
+  /// snapshots. The store no longer keeps versions: writers store
+  /// LocalStore::SnapshotVersion() (always 0) and recovery ignores it.
   uint64_t snapshot_version = 0;
 
   /// Deterministic serialization (byte-identical for equal states).

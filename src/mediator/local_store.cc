@@ -44,7 +44,6 @@ Result<Relation*> LocalStore::MutableRepo(const std::string& node) {
   if (it == repos_.end()) {
     return Status::NotFound("no materialized repository for node: " + node);
   }
-  dirty_.insert(node);
   return &it->second;
 }
 
@@ -60,7 +59,6 @@ Status LocalStore::SetRepo(const std::string& node, Relation contents) {
         " do not match the materialized attribute set");
   }
   it->second = std::move(contents);
-  dirty_.insert(node);
   if (indexes_enabled_) {
     SQ_RETURN_IF_ERROR(indexes_.Rebuild(node, it->second));
   }
@@ -82,7 +80,6 @@ Status LocalStore::ApplyNodeDelta(const std::string& node,
   if (it == repos_.end()) {
     return Status::NotFound("no materialized repository for node: " + node);
   }
-  dirty_.insert(node);
   const auto repo_attrs = it->second.schema().AttributeNames();
   if (full_delta.schema().AttributeNames() == repo_attrs) {
     SQ_RETURN_IF_ERROR(ApplyDelta(&it->second, full_delta));
@@ -107,81 +104,6 @@ std::vector<std::string> LocalStore::MaterializedNodes() const {
     if (HasRepo(name)) out.push_back(name);
   }
   return out;
-}
-
-StoreSnapshot::~StoreSnapshot() {
-  if (budget_ != nullptr) ReleaseGlobalBudget(budget_, budget_bytes_);
-}
-
-Result<const Relation*> StoreSnapshot::Repo(const std::string& node) const {
-  auto it = repos_.find(node);
-  if (it == repos_.end()) {
-    return Status::NotFound("no materialized repository for node: " + node);
-  }
-  return it->second.get();
-}
-
-StoreSnapshotPtr LocalStore::Snapshot() const {
-  std::lock_guard<std::mutex> lock(snap_mu_);
-  return latest_;
-}
-
-StoreSnapshotPtr LocalStore::PublishSnapshot(TimeVector reflect) {
-  auto snap = std::make_shared<StoreSnapshot>();
-  snap->reflect_ = std::move(reflect);
-  // Copy-on-write: only nodes dirtied since the previous publish get fresh
-  // Relation copies; everything else aliases the prior snapshot's objects.
-  // Reading latest_ here without the lock is fine — only this (writer)
-  // thread ever replaces it.
-  const StoreSnapshot* prev = latest_.get();
-  for (const auto& [name, rel] : repos_) {
-    std::shared_ptr<const Relation> share;
-    if (prev != nullptr && dirty_.count(name) == 0) {
-      auto it = prev->repos_.find(name);
-      if (it != prev->repos_.end()) share = it->second;
-    }
-    if (share == nullptr) {
-      share = std::make_shared<Relation>(rel);
-      // Fresh copy: account its retained bytes to this snapshot. Shared
-      // relations were already charged by the publish that copied them.
-      const size_t bytes = rel.ApproxBytes();
-      if (MemoryBudget* b = ChargeGlobalBudget(bytes)) {
-        snap->budget_ = b;
-        snap->budget_bytes_ += bytes;
-      }
-    }
-    snap->repos_.emplace(name, std::move(share));
-  }
-  dirty_.clear();
-  std::lock_guard<std::mutex> lock(snap_mu_);
-  snap->version_ = next_snapshot_version_++;
-  latest_ = snap;
-  retained_.push_back(snap);
-  return snap;
-}
-
-uint64_t LocalStore::SnapshotVersion() const {
-  std::lock_guard<std::mutex> lock(snap_mu_);
-  return next_snapshot_version_ - 1;
-}
-
-void LocalStore::EnsureSnapshotVersionAtLeast(uint64_t version) {
-  std::lock_guard<std::mutex> lock(snap_mu_);
-  if (next_snapshot_version_ <= version) next_snapshot_version_ = version + 1;
-}
-
-std::vector<StoreSnapshotPtr> LocalStore::LiveSnapshots() const {
-  std::lock_guard<std::mutex> lock(snap_mu_);
-  std::vector<StoreSnapshotPtr> live;
-  std::vector<std::weak_ptr<const StoreSnapshot>> still_registered;
-  for (const auto& weak : retained_) {
-    if (auto strong = weak.lock()) {
-      live.push_back(std::move(strong));
-      still_registered.push_back(weak);
-    }
-  }
-  retained_ = std::move(still_registered);
-  return live;
 }
 
 size_t LocalStore::ApproxBytes() const {

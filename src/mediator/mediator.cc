@@ -95,7 +95,7 @@ std::string MediatorStats::ToString() const {
   // rendering — the crash/recovery sweeps byte-compare it between a run and
   // its deterministic replay, so an unrendered counter would silently skip
   // that check.
-  static_assert(sizeof(MediatorStats) == 51 * sizeof(uint64_t),
+  static_assert(sizeof(MediatorStats) == 50 * sizeof(uint64_t),
                 "new counter: extend MediatorStats::ToString too");
   std::string out;
   auto emit = [&out](const char* name, uint64_t v) {
@@ -140,8 +140,7 @@ std::string MediatorStats::ToString() const {
   emit("recovery_msgs_requeued", recovery_msgs_requeued);
   emit("recovery_txns_replayed", recovery_txns_replayed);
   emit("msgs_dropped_at_crash", msgs_dropped_at_crash);
-  emit("snapshot_queries", snapshot_queries);
-  emit("snapshots_published", snapshots_published);
+  emit("store_queries", store_queries);
   emit("wal_append_failures", wal_append_failures);
   emit("updates_dropped_wal", updates_dropped_wal);
   emit("checkpoint_failures", checkpoint_failures);
@@ -269,9 +268,6 @@ Status Mediator::Start() {
     }
     trace_->Add(std::move(entry));
   }
-
-  // MVCC: version 1 is the freshly initialized view.
-  PublishStoreSnapshot();
 
   // The WAL's commit records carry the narrowed per-node deltas exactly as
   // the repositories absorbed them; the store's apply listener is how they
@@ -486,6 +482,7 @@ void Mediator::EnqueueTxn(std::function<void()> txn) {
 void Mediator::StartNextTxn() {
   if (busy_ || pending_txns_.empty()) return;
   busy_ = true;
+  txn_started_at_ = scheduler_->Now();
   auto txn = std::move(pending_txns_.front());
   pending_txns_.pop_front();
   txn();
@@ -898,8 +895,8 @@ TimeVector Mediator::UpdateReflect() const {
   return out;
 }
 
-TimeVector Mediator::QueryReflect(
-    const std::vector<std::string>& polled) const {
+TimeVector Mediator::QueryReflect(const std::vector<std::string>& polled,
+                                  Time unpolled_at) const {
   TimeVector out(sources_.size(), 0);
   for (size_t i = 0; i < sources_.size(); ++i) {
     const SourceRuntime& rt = *sources_[i];
@@ -907,15 +904,13 @@ TimeVector Mediator::QueryReflect(
       out[i] = rt.last_reflected_send;
       continue;
     }
-    // Virtual contributor: polled -> the source-side answer time; untouched
-    // by this query -> the current time (its state is simply irrelevant).
     auto pit = std::find(polled.begin(), polled.end(), rt.setup.db->name());
     if (pit != polled.end() && poll_wait_.has_value()) {
       auto ait = poll_wait_->answered_at.find(rt.setup.db->name());
       out[i] = ait != poll_wait_->answered_at.end() ? ait->second
                                                     : scheduler_->Now();
     } else {
-      out[i] = scheduler_->Now();
+      out[i] = unpolled_at;
     }
   }
   return out;
@@ -1066,10 +1061,6 @@ void Mediator::RunUpdateTxn() {
       }
     }
     current_inflight_ = nullptr;
-    // MVCC: expose the committed state as a new immutable version. Apply
-    // and publish happen in this same event, so readers either see the
-    // whole transaction or none of it — never a half-committed store.
-    PublishStoreSnapshot();
     // Composition hook: hand the committed per-node deltas to any export
     // announcers before the capture is moved into the WAL record below.
     if (!commit_listeners_.empty() && !txn_delta_capture_.empty()) {
@@ -1210,24 +1201,28 @@ void Mediator::SubmitQuery(const ViewQuery& q,
   if (q.deadline > 0) {
     AfterGuarded(q.deadline - now, [this, run]() { OnQueryDeadline(run); });
   }
-  if (options_.mvcc_reads) {
-    // Poll-free queries take the lock-free snapshot path instead of
-    // serializing behind the transaction queue. Eligibility (coverage +
-    // plan shape) depends only on the static annotation — never on data or
-    // time — so deciding it here is equivalent to deciding at txn start.
-    auto prepared = qp_->Prepare(q);
-    if (prepared.ok() && SnapshotServable(*prepared) &&
-        store_->Snapshot() != nullptr) {
-      run->prepared = std::move(prepared).value();
-      // NOT std::move(run): the shared_ptr parameter may be constructed
-      // before the *run->prepared argument is evaluated.
-      ServeSnapshotQuery(*run->prepared, run);
-      return;
-    }
-    // Ineligible (or Prepare failed): fall through to the serialized path,
-    // which re-prepares and surfaces any error through the usual machinery.
+  // Normalize, coverage analysis and planning happen once, here. The plan
+  // depends only on the static annotation — never on data or time — so
+  // choosing the path now is equivalent to choosing it at txn start.
+  auto prepared = qp_->Prepare(q);
+  if (!prepared.ok()) {
+    ResolveQuery(run, prepared.status());
+    return;
   }
-  EnqueueTxn([this, run = std::move(run)]() { RunQueryTxn(run); });
+  auto plan = qp_->PlanFor(*prepared);
+  if (!plan.ok()) {
+    ResolveQuery(run, plan.status());
+    return;
+  }
+  if (!plan->has_value() || (*plan)->polls.empty()) {
+    run->prepared = std::move(prepared).value();
+    ServeFromStore(std::move(plan).value(), std::move(run));
+    return;
+  }
+  EnqueueTxn([this, run = std::move(run), pq = std::move(prepared).value(),
+              vap_plan = std::move(**plan)]() mutable {
+    RunQueryTxn(run, std::move(pq), std::move(vap_plan));
+  });
 }
 
 void Mediator::ResolveQuery(const std::shared_ptr<QueryRun>& run,
@@ -1282,61 +1277,36 @@ void Mediator::OnQueryDeadline(std::shared_ptr<QueryRun> run) {
   if (running) FinishTxn();
 }
 
-bool Mediator::SnapshotServable(const PreparedQuery& pq) const {
-  auto plan = qp_->PlanFor(pq);
-  if (!plan.ok()) return false;
-  if (!plan->has_value()) return true;  // materialized data suffices
-  return (*plan)->polls.empty();        // VAP assembly, but no source polls
-}
-
-void Mediator::PublishStoreSnapshot() {
-  if (!options_.mvcc_reads) return;
-  store_->PublishSnapshot(UpdateReflect());
-  ++stats_.snapshots_published;
-}
-
-void Mediator::ServeSnapshotQuery(PreparedQuery pq,
-                                  std::shared_ptr<QueryRun> run) {
-  ++stats_.snapshot_queries;
-  auto serve = [this, pq = std::move(pq), run = std::move(run)]() {
+void Mediator::ServeFromStore(std::optional<VapPlan> plan,
+                              std::shared_ptr<QueryRun> run) {
+  ++stats_.store_queries;
+  auto serve = [this, plan = std::move(plan), run = std::move(run)]() {
     if (run->resolved) return;  // deadline fired during the processing wait
-    // Pin the latest committed version; the whole computation below reads
-    // it even if an update transaction commits concurrently. In-sim, apply
-    // and publish are atomic within the commit event, so this snapshot is
-    // exactly the live committed store — the answer is byte-identical to a
-    // serialized no-poll query committing at this instant.
-    StoreSnapshotPtr snap = store_->Snapshot();
-    if (snap == nullptr) {
-      ResolveQuery(run, Status::Internal("mvcc: no published store snapshot"));
-      return;
-    }
-    auto compute = [&]() {
+    // Every update transaction applies its deltas and advances the reflect
+    // vector inside its commit event, so between events the live store IS
+    // the last committed state, and this read serializes before any
+    // transaction still in flight (DESIGN.md §11).
+    Result<QueryProcessor::LocalAnswer> local = [&]() {
       // The cancel scope makes the memory budget's hard limit able to kill
       // this computation at the kernels' next check site.
       ScopedCancelScope scope(&run->cancel);
-      return qp_->Answer(pq, nullptr, nullptr, snap.get());
-    };
-    auto local = compute();
+      return qp_->AnswerWithPlan(*run->prepared,
+                                 plan.has_value() ? &*plan : nullptr, nullptr,
+                                 nullptr);
+    }();
     if (!local.ok()) {
       ResolveQuery(run, local.status());
       return;
     }
     ViewAnswer answer;
-    answer.data = local->data;
+    answer.data = std::move(local->data);
     answer.used_virtual = local->used_virtual;
     answer.polls = 0;
-    // Materialized/hybrid entries come from the snapshot's commit tag; a
-    // virtual contributor's state is irrelevant to a poll-free query, so
-    // its entry is "now" — the same rule QueryReflect applies. The entries
-    // can only have advanced since the snapshot's publish, so trace order
-    // (reflect monotonicity) is preserved.
-    TimeVector reflect = snap->reflect();
-    for (size_t i = 0; i < sources_.size(); ++i) {
-      if (sources_[i]->kind == ContributorKind::kVirtual) {
-        reflect[i] = scheduler_->Now();
-      }
-    }
-    answer.reflect = std::move(reflect);
+    // The transaction in flight, if any, records each virtual contributor
+    // at or after its start; stamping them later here could make the
+    // trace's reflect vectors run backwards.
+    answer.reflect =
+        QueryReflect({}, busy_ ? txn_started_at_ : scheduler_->Now());
     answer.commit_time = scheduler_->Now();
     ++stats_.query_txns;
     if (options_.record_trace) {
@@ -1345,15 +1315,15 @@ void Mediator::ServeSnapshotQuery(PreparedQuery pq,
       entry.commit_time = answer.commit_time;
       entry.reflect = answer.reflect;
       entry.polls = 0;
-      entry.query = pq.query;
+      entry.query = run->prepared->query;
       entry.answer = answer.data;
       trace_->Add(std::move(entry));
     }
     ResolveQuery(run, std::move(answer));
   };
-  // The whole computation — snapshot pin included — runs at completion
-  // time, so the recorded reflect can never precede an update entry that
-  // committed while this query was "processing".
+  // The whole computation runs at completion time, so the recorded reflect
+  // can never precede an update entry that committed while this query was
+  // "processing".
   if (options_.q_proc_delay > 0) {
     AfterGuarded(options_.q_proc_delay, std::move(serve));
   } else {
@@ -1361,7 +1331,8 @@ void Mediator::ServeSnapshotQuery(PreparedQuery pq,
   }
 }
 
-void Mediator::RunQueryTxn(std::shared_ptr<QueryRun> run) {
+void Mediator::RunQueryTxn(std::shared_ptr<QueryRun> run, PreparedQuery pq,
+                           VapPlan vap_plan) {
   if (run->resolved) {
     // Resolved while queued (its deadline fired first): the slot it was
     // waiting for is all it still holds — release it.
@@ -1369,25 +1340,31 @@ void Mediator::RunQueryTxn(std::shared_ptr<QueryRun> run) {
     return;
   }
   active_query_run_ = run;
-  // Normalize + coverage analysis once; every later step reuses the
-  // prepared form instead of re-deriving it.
-  auto prepared = qp_->Prepare(run->query);
-  if (!prepared.ok()) {
-    ResolveQuery(run, prepared.status());
-    FinishTxn();
-    return;
-  }
-  run->prepared = std::move(prepared).value();
-  const PreparedQuery& pq = *run->prepared;
-  ViewQuery nq = pq.query;  // trace/callback view of the query
+  run->prepared = std::move(pq);
+  ViewQuery nq = run->prepared->query;  // trace/callback view of the query
 
-  auto finish_with = [this, nq, run](const QueryProcessor::LocalAnswer& local,
-                                     const std::vector<std::string>& polled) {
+  auto execute = [this, vap_plan, nq, run]() {
+    if (run->resolved) return;  // defensive; the wait dies with the txn slot
+    Vap::PollFn poll = ReadyPollFn();
+    Vap::CompensationFn comp = MakeCompensation(nullptr);
+    Result<QueryProcessor::LocalAnswer> local = [&]() {
+      // Cancellable region: the VAP assembly loop checks between build
+      // steps, the kernels every kCancelCheckRows rows.
+      ScopedCancelScope scope(&run->cancel);
+      return qp_->AnswerWithPlan(*run->prepared, &vap_plan, poll, comp);
+    }();
+    if (!local.ok()) {
+      ResolveQuery(run, local.status());
+      FinishTxn();
+      return;
+    }
+    stats_.polled_tuples += local->polled_tuples;
     ViewAnswer answer;
-    answer.data = local.data;
-    answer.used_virtual = local.used_virtual;
-    answer.polls = local.polls;
-    answer.reflect = QueryReflect(polled);
+    answer.data = std::move(local->data);
+    answer.used_virtual = local->used_virtual;
+    answer.polls = local->polls;
+    answer.reflect =
+        QueryReflect(vap_plan.PolledSources(), scheduler_->Now());
     auto complete = [this, nq, run, answer]() mutable {
       // Deadline fired during the q_proc_delay wait: the deadline handler
       // already resolved the query AND finished the transaction slot.
@@ -1414,61 +1391,6 @@ void Mediator::RunQueryTxn(std::shared_ptr<QueryRun> run) {
       complete();
     }
   };
-
-  auto plan = qp_->PlanFor(pq);
-  if (!plan.ok()) {
-    ResolveQuery(run, plan.status());
-    FinishTxn();
-    return;
-  }
-  if (!plan->has_value()) {
-    // Materialized data suffices. The cancel scope lets the memory budget's
-    // hard limit kill the computation at the kernels' next check site.
-    auto compute = [&]() {
-      ScopedCancelScope scope(&run->cancel);
-      return qp_->Answer(pq, nullptr, nullptr);
-    };
-    auto local = compute();
-    if (!local.ok()) {
-      ResolveQuery(run, local.status());
-      FinishTxn();
-      return;
-    }
-    finish_with(*local, {});
-    return;
-  }
-
-  VapPlan vap_plan = std::move(**plan);
-  auto execute = [this, vap_plan, finish_with, run]() {
-    if (run->resolved) return;  // defensive; the wait dies with the txn slot
-    const PreparedQuery& epq = *run->prepared;
-    Vap::PollFn poll = ReadyPollFn();
-    Vap::CompensationFn comp = MakeCompensation(nullptr);
-    auto compute = [&]() -> Result<QueryProcessor::LocalAnswer> {
-      // Cancellable region: the VAP assembly loop checks between build
-      // steps, the kernels every kCancelCheckRows rows.
-      ScopedCancelScope scope(&run->cancel);
-      SQ_ASSIGN_OR_RETURN(TempStore temps, vap_->Execute(vap_plan, poll, comp));
-      SQ_ASSIGN_OR_RETURN(QueryProcessor::LocalAnswer local,
-                          qp_->AnswerWithTemps(epq, temps));
-      local.polls = temps.polls;
-      local.polled_tuples = temps.polled_tuples;
-      return local;
-    };
-    auto local = compute();
-    if (!local.ok()) {
-      ResolveQuery(run, local.status());
-      FinishTxn();
-      return;
-    }
-    stats_.polled_tuples += local->polled_tuples;
-    finish_with(*local, vap_plan.PolledSources());
-  };
-  if (vap_plan.polls.empty()) {
-    poll_wait_ = PollWait{};
-    execute();
-    return;
-  }
   // Degraded reads, proactive: polling a source known to be down (suspect,
   // resyncing, or quarantined) would only burn the timeout rounds; serve
   // the materialized data with staleness annotations immediately.
@@ -1476,7 +1398,7 @@ void Mediator::RunQueryTxn(std::shared_ptr<QueryRun> run) {
     for (const auto& src : vap_plan.PolledSources()) {
       SourceRuntime* rt = FindSource(src);
       if (rt != nullptr && SourceDown(*rt)) {
-        ServeDegraded(pq, nq, run, /*immediate=*/false);
+        ServeDegraded(*run->prepared, nq, run, /*immediate=*/false);
         return;
       }
     }
@@ -1555,7 +1477,7 @@ void Mediator::ServeDegraded(const PreparedQuery& pq, const ViewQuery& nq,
     }
     ResolveQuery(run, std::move(answer));
     // Only the transaction-owning query releases the slot; a deadline-
-    // degraded MVCC query never held it.
+    // degraded poll-free query never held it.
     if (running) FinishTxn();
   };
   if (!immediate && options_.q_proc_delay > 0) {
@@ -1720,12 +1642,6 @@ Status Mediator::Recover() {
   }
   next_txn_id_ = rec.state.next_txn_id;
   next_resync_id_ = rec.state.next_resync_id;
-  // MVCC: resume the version chain strictly past everything the dead
-  // incarnation may have published (WAL replay can run past the checkpoint,
-  // so advance by the replayed commits too), then publish the recovered
-  // repositories as a fresh version.
-  store_->EnsureSnapshotVersionAtLeast(rec.state.snapshot_version +
-                                       rec.txns_replayed);
   crashed_ = false;
   ++stats_.recoveries;
   stats_.recovery_txns_replayed += rec.txns_replayed;
@@ -1743,9 +1659,6 @@ Status Mediator::Recover() {
                      " ckpt_fallbacks=" +
                      std::to_string(rec.checkpoint_fallbacks));
   }
-  // MVCC: the recovered repositories become the next version on the same
-  // chain (every node is dirty after the SetRepo restores above).
-  PublishStoreSnapshot();
   // A post-recovery checkpoint bounds the next recovery's replay and
   // truncates the log the dead incarnation left behind. Failure is
   // non-fatal: the generation we just recovered from remains on disk.

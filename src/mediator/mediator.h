@@ -3,9 +3,12 @@
 // A Mediator owns the five components of the paper's architecture — local
 // store, query processor, virtual attribute processor, update queue, and
 // incremental update processor — and wires them to simulated source
-// databases through FIFO channels. Update and query transactions execute
-// serially (paper §6.1); transactions that must poll sources span multiple
-// simulation events and commit when the last answer has arrived.
+// databases through FIFO channels. Update transactions and the queries that
+// poll sources execute serially (paper §6.1); they span multiple simulation
+// events and commit when the last answer has arrived. Queries that need no
+// poll are answered from the committed store at submission (or after
+// q_proc_delay) without waiting for the transaction queue, which places them
+// in the serial order before any update transaction still in flight.
 
 #ifndef SQUIRREL_MEDIATOR_MEDIATOR_H_
 #define SQUIRREL_MEDIATOR_MEDIATOR_H_
@@ -109,14 +112,6 @@ struct MediatorOptions {
   /// answer may be lost to a crash window). Backed off per attempt like
   /// polls are.
   Time resync_retry_delay = 2.0;
-  // ---- concurrency (DESIGN.md §11) ----
-  /// MVCC reads: serve poll-free queries from the latest committed store
-  /// snapshot instead of enqueueing them behind the transaction queue —
-  /// queries never block on (or behind) an in-flight update transaction
-  /// and never observe a half-committed one. Queries that must poll
-  /// sources still serialize as transactions. Off = every query is a
-  /// serialized transaction (the pre-existing behavior and the oracle).
-  bool mvcc_reads = false;
   // ---- overload protection (DESIGN.md §15) ----
   /// Per-class admission limits. All-zero (the default) disables the gate.
   AdmissionOptions admission;
@@ -178,9 +173,9 @@ struct MediatorStats {
   uint64_t recovery_msgs_requeued = 0;  ///< messages re-queued by rollbacks
   uint64_t recovery_txns_replayed = 0;  ///< committed txns redone at recovery
   uint64_t msgs_dropped_at_crash = 0;  ///< deliveries into a crashed mediator
-  // ---- MVCC counters (zero unless mvcc_reads is on) ----
-  uint64_t snapshot_queries = 0;     ///< queries served from a snapshot
-  uint64_t snapshots_published = 0;  ///< store versions published
+  /// Poll-free queries answered from the committed store outside the
+  /// transaction queue (DESIGN.md §11).
+  uint64_t store_queries = 0;
   // ---- storage integrity counters (zero on a healthy disk) ----
   uint64_t wal_append_failures = 0;  ///< Log* calls the device rejected
   uint64_t updates_dropped_wal = 0;  ///< announcements dropped because their
@@ -219,10 +214,12 @@ class Mediator {
   /// installs channel receivers, starts announcers and the update policy.
   Status Start();
 
-  /// Submits a query; the callback fires at the query transaction's commit
-  /// (same event when no polling is needed). Transactions serialize. While
-  /// the mediator is crashed the callback fires immediately with
-  /// kUnavailable.
+  /// Submits a query. A query that needs no source poll is answered from
+  /// the committed store in this event (or after q_proc_delay), even while
+  /// an update transaction waits on its polls; a query that polls runs as a
+  /// serialized transaction and its callback fires at that transaction's
+  /// commit. While the mediator is crashed the callback fires immediately
+  /// with kUnavailable.
   void SubmitQuery(const ViewQuery& q,
                    std::function<void(Result<ViewAnswer>)> callback);
 
@@ -292,8 +289,8 @@ class Mediator {
   /// absorbed (the same capture the WAL commit record carries). This is the
   /// composition hook: an ExportAnnouncer mirrors the exported nodes of this
   /// mediator into a SourceDb a parent mediator consumes. Listeners fire
-  /// inside the commit event, after the new store version is published and
-  /// before the commit record is logged; they accumulate in installation
+  /// inside the commit event, after the repositories absorbed the deltas
+  /// and before the commit record is logged; they accumulate in installation
   /// order and survive Crash()/Recover() (the listener belongs to the
   /// deployment wiring, not to the incarnation).
   void AddCommitListener(
@@ -344,8 +341,9 @@ class Mediator {
     CancelToken cancel;
     /// Set once the callback has fired; later resolution attempts no-op.
     bool resolved = false;
-    /// Set by RunQueryTxn after Prepare succeeds, so the deadline handler
-    /// can serve a degraded answer without re-preparing.
+    /// Set once the query starts executing (at submission for poll-free
+    /// queries, at transaction start for polling ones), so the deadline
+    /// handler can serve a degraded answer without re-preparing.
     std::optional<PreparedQuery> prepared;
   };
 
@@ -387,7 +385,16 @@ class Mediator {
   void ScheduleUpdateTxn();
   void PeriodicTick();
   void RunUpdateTxn();
-  void RunQueryTxn(std::shared_ptr<QueryRun> run);
+  /// Runs a query that polls as a serialized transaction; \p pq and
+  /// \p vap_plan were derived once at submission.
+  void RunQueryTxn(std::shared_ptr<QueryRun> run, PreparedQuery pq,
+                   VapPlan vap_plan);
+  /// Answers the poll-free query \p run (already prepared) from the
+  /// committed store after q_proc_delay, without occupying the transaction
+  /// queue. \p plan is the VAP plan when virtual attributes are assembled
+  /// from repositories, nullopt when the query's node repository covers it.
+  void ServeFromStore(std::optional<VapPlan> plan,
+                      std::shared_ptr<QueryRun> run);
   /// The single resolution point for a query: fires the callback exactly
   /// once (first caller wins), releases the admission slot, and counts the
   /// new typed failure codes. Completion, deadline, and memory-cancel paths
@@ -439,23 +446,14 @@ class Mediator {
   /// Compensation against the queue and (for updates) the in-flight batch.
   Vap::CompensationFn MakeCompensation(
       const std::map<std::string, MultiDelta>* inflight) const;
-  TimeVector QueryReflect(const std::vector<std::string>& polled) const;
+  /// Reflect vector of a query answer. Virtual contributors in \p polled
+  /// carry their poll's source-side answer time; the other virtual ones
+  /// carry \p unpolled_at, since their state does not affect the answer.
+  TimeVector QueryReflect(const std::vector<std::string>& polled,
+                          Time unpolled_at) const;
   TimeVector UpdateReflect() const;
   void RecordUpdateCommit(const IupStats& stats, uint64_t polls);
   SourceRuntime* FindSource(const std::string& name);
-  // ---- MVCC helpers ----
-  /// Publishes the committed repositories as a new store version tagged
-  /// with the current reflect vector. Called after init, every update
-  /// commit, and recovery (only when mvcc_reads is on).
-  void PublishStoreSnapshot();
-  /// True iff \p pq can be served from a snapshot: planning (which depends
-  /// only on the static annotation, never on data or time) shows no source
-  /// polls are needed.
-  bool SnapshotServable(const PreparedQuery& pq) const;
-  /// The MVCC fast path: answers \p pq from the latest snapshot after
-  /// q_proc_delay, without occupying the transaction queue.
-  void ServeSnapshotQuery(PreparedQuery pq, std::shared_ptr<QueryRun> run);
-
   // ---- durability helpers ----
   /// Schedules \p fn after \p delay, but only runs it if the mediator has
   /// not crashed in between: a crash bumps epoch_, turning every timer of
@@ -493,6 +491,8 @@ class Mediator {
 
   bool started_ = false;
   bool busy_ = false;
+  /// When the transaction holding the slot started (valid while busy_).
+  Time txn_started_at_ = 0;
   bool update_txn_scheduled_ = false;
   std::deque<std::function<void()>> pending_txns_;
   /// Per-class admission gate (limits from options_.admission).

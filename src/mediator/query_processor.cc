@@ -72,11 +72,9 @@ Result<std::optional<VapPlan>> QueryProcessor::PlanFor(
 }
 
 Result<QueryProcessor::LocalAnswer> QueryProcessor::AnswerFromRepo(
-    const PreparedQuery& q, const StoreSnapshot* snap) const {
+    const PreparedQuery& q) const {
   SQ_RETURN_IF_ERROR(CheckCancel());
-  SQ_ASSIGN_OR_RETURN(const Relation* repo,
-                      snap != nullptr ? snap->Repo(q.query.relation)
-                                      : store_->Repo(q.query.relation));
+  SQ_ASSIGN_OR_RETURN(const Relation* repo, store_->Repo(q.query.relation));
   SQ_ASSIGN_OR_RETURN(Relation selected, OpSelect(*repo, q.query.cond));
   SQ_ASSIGN_OR_RETURN(Relation projected,
                       OpProject(selected, q.query.attrs, Semantics::kBag));
@@ -87,25 +85,32 @@ Result<QueryProcessor::LocalAnswer> QueryProcessor::AnswerFromRepo(
 
 Result<QueryProcessor::LocalAnswer> QueryProcessor::Answer(
     const PreparedQuery& q, const Vap::PollFn& poll,
-    const Vap::CompensationFn& comp, const StoreSnapshot* snap) const {
+    const Vap::CompensationFn& comp) const {
   SQ_ASSIGN_OR_RETURN(std::optional<VapPlan> plan, PlanFor(q));
-  if (!plan.has_value()) return AnswerFromRepo(q, snap);
-  SQ_ASSIGN_OR_RETURN(TempStore temps, vap_->Execute(*plan, poll, comp, snap));
-  SQ_ASSIGN_OR_RETURN(LocalAnswer out, AnswerWithTemps(q, temps, snap));
+  return AnswerWithPlan(q, plan.has_value() ? &*plan : nullptr, poll, comp);
+}
+
+Result<QueryProcessor::LocalAnswer> QueryProcessor::AnswerWithPlan(
+    const PreparedQuery& q, const VapPlan* plan, const Vap::PollFn& poll,
+    const Vap::CompensationFn& comp) const {
+  TempStore temps;
+  if (plan != nullptr) {
+    SQ_ASSIGN_OR_RETURN(temps, vap_->Execute(*plan, poll, comp));
+  }
+  SQ_ASSIGN_OR_RETURN(LocalAnswer out, AnswerWithTemps(q, temps));
   out.polls = temps.polls;
   out.polled_tuples = temps.polled_tuples;
   return out;
 }
 
 Result<QueryProcessor::LocalAnswer> QueryProcessor::AnswerWithTemps(
-    const PreparedQuery& q, const TempStore& temps,
-    const StoreSnapshot* snap) const {
+    const PreparedQuery& q, const TempStore& temps) const {
   // Phase boundary: a query cancelled during VAP assembly must not start
   // the final select/project pass. (AnswerDegraded deliberately does NOT
   // check — it serves cancelled queries their materialized fraction.)
   SQ_RETURN_IF_ERROR(CheckCancel());
   if (vap_->RepoCovers(q.query.relation, q.needed)) {
-    return AnswerFromRepo(q, snap);
+    return AnswerFromRepo(q);
   }
   const TempStore::Entry* entry = temps.Find(q.query.relation);
   if (entry == nullptr || !temps.Covers(q.query.relation, q.needed)) {

@@ -63,18 +63,19 @@ class QueryProcessor {
   Result<std::optional<VapPlan>> PlanFor(const PreparedQuery& q) const;
 
   /// Answers \p q, running the VAP with \p poll / \p comp when needed.
-  /// With \p snap set, every repository read (direct or through the VAP)
-  /// is served from that immutable snapshot instead of the live store —
-  /// the MVCC read path, safe against a concurrent commit.
   Result<LocalAnswer> Answer(const PreparedQuery& q, const Vap::PollFn& poll,
-                             const Vap::CompensationFn& comp,
-                             const StoreSnapshot* snap = nullptr) const;
+                             const Vap::CompensationFn& comp) const;
+
+  /// Answers \p q with a plan already obtained from PlanFor: runs the VAP
+  /// for \p plan, or reads the repository when \p plan is null.
+  Result<LocalAnswer> AnswerWithPlan(const PreparedQuery& q,
+                                     const VapPlan* plan,
+                                     const Vap::PollFn& poll,
+                                     const Vap::CompensationFn& comp) const;
 
   /// Answers \p q against pre-built temporaries (the Mediator's async path).
   Result<LocalAnswer> AnswerWithTemps(const PreparedQuery& q,
-                                      const TempStore& temps,
-                                      const StoreSnapshot* snap = nullptr)
-      const;
+                                      const TempStore& temps) const;
 
   /// Degraded-mode answer while one or more needed sources are down
   /// (MediatorOptions::degraded_reads): serves whatever the export node's
@@ -97,8 +98,7 @@ class QueryProcessor {
                                       const TempStore& temps) const;
 
  private:
-  Result<LocalAnswer> AnswerFromRepo(const PreparedQuery& q,
-                                     const StoreSnapshot* snap) const;
+  Result<LocalAnswer> AnswerFromRepo(const PreparedQuery& q) const;
 
   const Vdp* vdp_;
   const Annotation* ann_;

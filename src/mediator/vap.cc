@@ -367,19 +367,13 @@ Result<VapPlan> Vap::Plan(const std::vector<TempRequest>& input) const {
   return plan;
 }
 
-Result<const Relation*> Vap::RepoAt(const std::string& node,
-                                    const StoreSnapshot* snap) const {
-  if (snap != nullptr) return snap->Repo(node);
-  return store_->Repo(node);
-}
-
 Result<std::shared_ptr<const Relation>> Vap::ChildState(
     const std::string& child, const std::vector<std::string>& attrs,
-    const TempStore& temps, const StoreSnapshot* snap) const {
-  // Non-owning aliases: the store (or pinned snapshot) and the temp store
-  // both outlive the assembly that consumes the handle.
+    const TempStore& temps) const {
+  // Non-owning aliases: the store and the temp store both outlive the
+  // assembly that consumes the handle.
   if (RepoCovers(child, attrs)) {
-    SQ_ASSIGN_OR_RETURN(const Relation* repo, RepoAt(child, snap));
+    SQ_ASSIGN_OR_RETURN(const Relation* repo, store_->Repo(child));
     return std::shared_ptr<const Relation>(std::shared_ptr<void>(), repo);
   }
   const TempStore::Entry* e = temps.Find(child);
@@ -392,15 +386,14 @@ Result<std::shared_ptr<const Relation>> Vap::ChildState(
 }
 
 Result<Relation> Vap::Assemble(const TempRequest& req, const TempStore& temps,
-                               const KeyBasedChoice* key_based,
-                               const StoreSnapshot* snap) const {
+                               const KeyBasedChoice* key_based) const {
   SQ_ASSIGN_OR_RETURN(const VdpNode* node, vdp_->Get(req.node));
   const NodeDef& def = *node->def;
   Expr::Ptr req_cond = req.cond ? req.cond : Expr::True();
 
   if (key_based != nullptr) {
     // Own materialized part.
-    SQ_ASSIGN_OR_RETURN(const Relation* repo, RepoAt(req.node, snap));
+    SQ_ASSIGN_OR_RETURN(const Relation* repo, store_->Repo(req.node));
     SQ_ASSIGN_OR_RETURN(
         Relation own,
         OpProject(*repo, key_based->own_attrs, Semantics::kBag));
@@ -442,11 +435,9 @@ Result<Relation> Vap::Assemble(const TempRequest& req, const TempStore& temps,
     // per-tuple counts is equivalent to probing the bag projection, because
     // repository tuples that agree on the projected attrs produce identical
     // rows whose counts Relation::Insert accumulates.
-    // Snapshot reads bypass the persistent indexes: they track the LIVE
-    // repositories, which may already have moved past this snapshot.
     const HashIndex* repo_index = nullptr;
     const Relation* child_repo = nullptr;
-    if (snap == nullptr && store_->indexes_enabled() &&
+    if (store_->indexes_enabled() &&
         RepoCovers(key_based->child, key_based->child_attrs)) {
       SQ_ASSIGN_OR_RETURN(child_repo, store_->Repo(key_based->child));
       repo_index = store_->indexes().Find(key_based->child, key_based->key);
@@ -459,7 +450,7 @@ Result<Relation> Vap::Assemble(const TempRequest& req, const TempStore& temps,
     auto child_based = [&]() -> Result<Relation> {
       SQ_ASSIGN_OR_RETURN(
           std::shared_ptr<const Relation> child,
-          ChildState(key_based->child, key_based->child_attrs, temps, snap));
+          ChildState(key_based->child, key_based->child_attrs, temps));
       SQ_ASSIGN_OR_RETURN(
           Relation child_proj,
           OpProject(*child, key_based->child_attrs, Semantics::kBag));
@@ -505,8 +496,7 @@ Result<Relation> Vap::Assemble(const TempRequest& req, const TempStore& temps,
       for (const auto& a : AttrsOf(term.select)) b.insert(a);
       SQ_ASSIGN_OR_RETURN(
           std::shared_ptr<const Relation> state,
-          ChildState(term.child, NormalizeAttrs(child->schema, b), temps,
-                     snap));
+          ChildState(term.child, NormalizeAttrs(child->schema, b), temps));
       SQ_ASSIGN_OR_RETURN(Relation sel, OpSelect(*state, term.SelectOrTrue()));
       SQ_ASSIGN_OR_RETURN(Relation tr, OpProject(sel, proj, Semantics::kBag));
       term_rels.push_back(std::move(tr));
@@ -537,8 +527,7 @@ Result<Relation> Vap::Assemble(const TempRequest& req, const TempStore& temps,
     for (const auto& a : AttrsOf(term.select)) needed.insert(a);
     SQ_ASSIGN_OR_RETURN(
         std::shared_ptr<const Relation> state,
-        ChildState(term.child, NormalizeAttrs(child->schema, needed), temps,
-                   snap));
+        ChildState(term.child, NormalizeAttrs(child->schema, needed), temps));
     SQ_ASSIGN_OR_RETURN(
         Relation sel,
         OpSelect(*state, Expr::And(term.SelectOrTrue(), req_cond)));
@@ -556,8 +545,7 @@ Result<Relation> Vap::Assemble(const TempRequest& req, const TempStore& temps,
 }
 
 Result<TempStore> Vap::Execute(const VapPlan& plan, const PollFn& poll,
-                               const CompensationFn& comp,
-                               const StoreSnapshot* snap) const {
+                               const CompensationFn& comp) const {
   TempStore temps;
   // Map from request index to its poll, if any.
   std::map<size_t, const VapPlan::LeafPoll*> poll_at;
@@ -604,7 +592,7 @@ Result<TempStore> Vap::Execute(const VapPlan& plan, const PollFn& poll,
     const KeyBasedChoice* kb = nullptr;
     auto kit = plan.key_based.find(i);
     if (kit != plan.key_based.end()) kb = &kit->second;
-    SQ_ASSIGN_OR_RETURN(Relation data, Assemble(req, temps, kb, snap));
+    SQ_ASSIGN_OR_RETURN(Relation data, Assemble(req, temps, kb));
     TempStore::Entry entry;
     entry.data = std::move(data);
     entry.attrs = req.attrs;
@@ -616,10 +604,9 @@ Result<TempStore> Vap::Execute(const VapPlan& plan, const PollFn& poll,
 
 Result<TempStore> Vap::Materialize(const std::vector<TempRequest>& input,
                                    const PollFn& poll,
-                                   const CompensationFn& comp,
-                                   const StoreSnapshot* snap) const {
+                                   const CompensationFn& comp) const {
   SQ_ASSIGN_OR_RETURN(VapPlan plan, Plan(input));
-  return Execute(plan, poll, comp, snap);
+  return Execute(plan, poll, comp);
 }
 
 }  // namespace squirrel

@@ -144,20 +144,14 @@ class Vap {
   /// Phase 1: expands and merges \p input into a bottom-up plan.
   Result<VapPlan> Plan(const std::vector<TempRequest>& input) const;
 
-  /// Phase 2: executes a plan. With \p snap set, every repository read is
-  /// routed through that immutable snapshot instead of the live store
-  /// (MVCC query path) — the live store may be mid-commit on another
-  /// thread. Persistent repository indexes are bypassed in snapshot mode:
-  /// they index the LIVE repositories.
+  /// Phase 2: executes a plan.
   Result<TempStore> Execute(const VapPlan& plan, const PollFn& poll,
-                            const CompensationFn& comp,
-                            const StoreSnapshot* snap = nullptr) const;
+                            const CompensationFn& comp) const;
 
   /// Plan + Execute in one call.
   Result<TempStore> Materialize(const std::vector<TempRequest>& input,
                                 const PollFn& poll,
-                                const CompensationFn& comp,
-                                const StoreSnapshot* snap = nullptr) const;
+                                const CompensationFn& comp) const;
 
   /// True iff π_attrs of \p node is answerable from the repository alone.
   bool RepoCovers(const std::string& node,
@@ -174,16 +168,12 @@ class Vap {
   Result<std::vector<TempRequest>> DerivedFrom(const VdpNode& node,
                                                const TempRequest& req) const;
   Result<Relation> Assemble(const TempRequest& req, const TempStore& temps,
-                            const KeyBasedChoice* key_based,
-                            const StoreSnapshot* snap) const;
+                            const KeyBasedChoice* key_based) const;
   /// Borrowed handle onto the child's repository or temp (no copy); valid
-  /// while the store (or \p snap) and \p temps live.
+  /// while the store and \p temps live.
   Result<std::shared_ptr<const Relation>> ChildState(
       const std::string& child, const std::vector<std::string>& attrs,
-      const TempStore& temps, const StoreSnapshot* snap) const;
-  /// The repository of \p node in \p snap when set, else the live store.
-  Result<const Relation*> RepoAt(const std::string& node,
-                                 const StoreSnapshot* snap) const;
+      const TempStore& temps) const;
 
   const Vdp* vdp_;
   const Annotation* ann_;

@@ -21,9 +21,9 @@ namespace squirrel {
 ///
 /// Hash() is memoized: map keys are hashed repeatedly (probe-then-insert,
 /// rehash on growth, index maintenance), and tuples carried between maps by
-/// move keep the cached value. The cache is a relaxed atomic because tuples
-/// inside shared MVCC snapshots are hashed from concurrent readers; the
-/// memoized function is pure, so racing writers store the same value.
+/// move keep the cached value. The cache is a relaxed atomic so that a
+/// const tuple may be hashed from several threads; the memoized function is
+/// pure, so racing writers store the same value.
 class Tuple {
  public:
   Tuple() = default;

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "mediator/consistency.h"
 #include "mediator/freshness.h"
 #include "mediator/mediator.h"
@@ -179,6 +181,59 @@ TEST_F(SimFigure1, Example23HybridQueries) {
       << (report.violations.empty() ? "" : report.violations[0]);
 }
 
+TEST_F(SimFigure1, PollFreeQueryDoesNotWaitForPollingUpdate) {
+  auto vdp = BuildFigure1Vdp();
+  ASSERT_TRUE(vdp.ok());
+  // Example 2.3 keeps R' and S' virtual, so the R insert announced at 2.0
+  // polls DB2: request at 2.0, answer back at 2.0 + 1 + 0.5 + 1 = 4.5.
+  MakeMediator(AnnotationExample23(*vdp), MediatorOptions{});
+  CommitR(1.0, Tuple({2, 200, 22, 100}));
+  std::optional<ViewAnswer> polling, poll_free;
+  scheduler_.At(3.0, [&]() {
+    ASSERT_TRUE(mediator_->busy()) << "the update should await its poll";
+    mediator_->SubmitQuery(
+        ViewQuery{"T", {"r3", "s1"}, testing::Pred("r3 < 100")},
+        [&](Result<ViewAnswer> ans) {
+          ASSERT_TRUE(ans.ok()) << ans.status().ToString();
+          polling = std::move(ans).value();
+        });
+    mediator_->SubmitQuery(
+        ViewQuery{"T", {"r1", "s1"}, testing::Pred("r1 < 10")},
+        [&](Result<ViewAnswer> ans) {
+          ASSERT_TRUE(ans.ok()) << ans.status().ToString();
+          poll_free = std::move(ans).value();
+        });
+    // Answered in this very event, before the update commits.
+    ASSERT_TRUE(poll_free.has_value());
+    EXPECT_FALSE(polling.has_value());
+  });
+  scheduler_.RunUntil(10000.0);
+
+  auto updates = mediator_->trace().OfKind(TxnKind::kUpdate);
+  ASSERT_EQ(updates.size(), 1u);
+  const Time update_commit = updates[0]->commit_time;
+  EXPECT_DOUBLE_EQ(update_commit, 4.5);
+
+  // The materialized σπ query sees the state before the update, and says
+  // so in its reflect vector: nothing after view initialization.
+  ASSERT_TRUE(poll_free.has_value());
+  EXPECT_DOUBLE_EQ(poll_free->commit_time, 3.0);
+  EXPECT_EQ(poll_free->polls, 0u);
+  EXPECT_EQ(Rows(poll_free->data), "(1, 100) ");
+  EXPECT_EQ(poll_free->reflect, (TimeVector{0.0, 0.0}));
+
+  // A query that polls still serializes behind the update transaction.
+  ASSERT_TRUE(polling.has_value());
+  EXPECT_GT(polling->commit_time, update_commit);
+  EXPECT_GT(polling->polls, 0u);
+  EXPECT_EQ(Rows(polling->data), "(11, 100) (22, 200) ");
+  EXPECT_DOUBLE_EQ(polling->reflect[0], 1.0);
+
+  ConsistencyReport report = CheckConsistency();
+  EXPECT_TRUE(report.consistent())
+      << (report.violations.empty() ? "" : report.violations[0]);
+}
+
 TEST_F(SimFigure1, FreshnessWithinTheoremBound) {
   MediatorOptions options;
   options.update_period = 2.0;
@@ -280,13 +335,14 @@ class SimFigure4 : public ::testing::Test {
     SQ_ASSERT_OK(dbs_[1]->InsertTuple(0, "B", Tuple({10, 5})));
   }
 
-  void MakeMediator(std::function<Annotation(const Vdp&)> make_ann) {
+  void MakeMediator(std::function<Annotation(const Vdp&)> make_ann,
+                    MediatorOptions options = MediatorOptions{}) {
     auto vdp = BuildFigure4Vdp();
     ASSERT_TRUE(vdp.ok()) << vdp.status().ToString();
     std::vector<SourceSetup> setups;
     for (auto& db : dbs_) setups.push_back({db.get(), 0.5, 0.2, 0.0});
     auto med = Mediator::Create(*vdp, make_ann(*vdp), setups, &scheduler_,
-                                MediatorOptions{});
+                                options);
     ASSERT_TRUE(med.ok()) << med.status().ToString();
     mediator_ = std::move(med).value();
     SQ_ASSERT_OK(mediator_->Start());
@@ -323,6 +379,47 @@ class SimFigure4 : public ::testing::Test {
     auto report = checker.Check(mediator_->trace());
     EXPECT_TRUE(report.ok()) << report.status().ToString();
     return report.ok() ? *report : ConsistencyReport{};
+  }
+
+  /// C', D', F and G virtual, A', B' and E materialized: DBC and DBD are
+  /// virtual contributors. A query on G polls both (sent at 5.0, answered
+  /// at the sources at 5.7, back at 6.2); a query on E polls nothing and is
+  /// submitted at 6.0, while the G query is still in flight.
+  void RunPollFreeBesidePollingQuery(Time q_proc_delay) {
+    MediatorOptions options;
+    options.q_proc_delay = q_proc_delay;
+    MakeMediator(
+        [](const Vdp& vdp) {
+          Annotation ann;
+          for (const char* node : {"C'", "D'", "F", "G"}) {
+            SQ_EXPECT_OK(ann.SetAll(vdp, node, AttrMode::kVirtual));
+          }
+          return ann;
+        },
+        options);
+    auto kinds = mediator_->ContributorKinds();
+    ASSERT_EQ(kinds[2], ContributorKind::kVirtual);
+    ASSERT_EQ(kinds[3], ContributorKind::kVirtual);
+    SQ_ASSERT_OK(dbs_[2]->InsertTuple(0, "C", Tuple({1, 1})));
+    SQ_ASSERT_OK(dbs_[3]->InsertTuple(0, "D", Tuple({2, 10})));
+    QueryAt(5.0, ViewQuery{"G", {}, nullptr});
+    QueryAt(6.0, ViewQuery{"E", {"a1", "b1"}, nullptr});
+    scheduler_.RunUntil(10000.0);
+
+    ASSERT_EQ(answers_.size(), 2u);
+    const ViewAnswer& poll_free = answers_[0];
+    const ViewAnswer& polling = answers_[1];
+    EXPECT_EQ(poll_free.polls, 0u);
+    EXPECT_EQ(Rows(poll_free.data), "(1, 10) ");
+    EXPECT_GT(polling.polls, 0u);
+    EXPECT_EQ(Rows(polling.data), "(1, 10) ");
+    EXPECT_LT(poll_free.commit_time, polling.commit_time);
+    EXPECT_TRUE(TimeVectorLeq(poll_free.reflect, polling.reflect))
+        << TimeVectorToString(poll_free.reflect) << " then "
+        << TimeVectorToString(polling.reflect);
+    ConsistencyReport report = CheckConsistency();
+    EXPECT_TRUE(report.consistent())
+        << (report.violations.empty() ? "" : report.violations[0]);
   }
 
   Scheduler scheduler_;
@@ -394,6 +491,14 @@ TEST_F(SimFigure4, DiffMaintenanceUnderChurn) {
   ConsistencyReport report = CheckConsistency();
   EXPECT_TRUE(report.consistent())
       << (report.violations.empty() ? "" : report.violations[0]);
+}
+
+TEST_F(SimFigure4, PollFreeReflectStaysBelowInFlightPollingQuery) {
+  RunPollFreeBesidePollingQuery(/*q_proc_delay=*/0.0);
+}
+
+TEST_F(SimFigure4, PollFreeReflectStaysBelowDelayedPollingQuery) {
+  RunPollFreeBesidePollingQuery(/*q_proc_delay=*/1.0);
 }
 
 }  // namespace

@@ -5,9 +5,7 @@
 // Every chunk runs each seed twice — columnar off (the row oracle) and
 // columnar on with the harness's zero size threshold, so even the small sim
 // relations take the vectorized paths — and demands BYTE-IDENTICAL final
-// exports. Chunks whose scheduling is itself deterministic vs the oracle
-// (everything except MVCC reads, which legitimately reschedule queries)
-// also demand byte-identical trace dumps. Every assertion names the seed;
+// exports and trace dumps. Every assertion names the seed;
 // reproduce one with RunFaultSim(<seed>, <the chunk's options>)
 // (see DESIGN.md §12 "Columnar execution").
 
@@ -32,7 +30,6 @@ struct Scenario {
   bool wal = false;
   int mediator_crashes = 0;
   int source_restarts = 0;
-  bool mvcc = false;
   bool use_indexes = false;
 };
 
@@ -44,8 +41,8 @@ Scenario ChunkScenario(int chunk) {
       return {.durability = true, .wal = true, .mediator_crashes = 2};
     case 2:  // source restarts + anti-entropy resync
       return {.durability = true, .source_restarts = 2};
-    case 3:  // MVCC snapshot reads (exports-only comparison)
-      return {.mvcc = true};
+    case 3:  // plain fault sim again, on seeds 26-50
+      return {};
     default:  // index hints
       return {.use_indexes = true};
   }
@@ -57,7 +54,6 @@ FaultSimOptions ChunkOptions(const Scenario& s, bool columnar) {
   opts.wal = s.wal;
   opts.mediator_crashes = s.mediator_crashes;
   opts.source_restarts = s.source_restarts;
-  opts.mvcc_reads = s.mvcc;
   opts.use_indexes = s.use_indexes;
   opts.columnar = columnar;
   return opts;
@@ -82,13 +78,10 @@ TEST_P(ColumnarEquivalenceSweep, ColumnarRunsMatchRowOracle) {
     ASSERT_EQ(run->final_exports, oracle->final_exports)
         << "[seed " << seed << "] chunk " << chunk
         << ": columnar final exports diverged from the row oracle";
-    // And in the full trace wherever scheduling is comparable (MVCC reads
-    // reorder queries by design, so only exports are comparable there).
-    if (!scenario.mvcc) {
-      ASSERT_EQ(run->trace_dump, oracle->trace_dump)
-          << "[seed " << seed << "] chunk " << chunk
-          << ": columnar trace diverged from the row oracle";
-    }
+    // And in the full trace.
+    ASSERT_EQ(run->trace_dump, oracle->trace_dump)
+        << "[seed " << seed << "] chunk " << chunk
+        << ": columnar trace diverged from the row oracle";
 
     // The columnar run itself must be deterministic under replay.
     auto replay = RunFaultSim(seed, ChunkOptions(scenario, true));

@@ -277,7 +277,6 @@ Result<Scenario> BuildScenario(uint64_t seed, const FaultSimOptions& opts) {
   sc.options.coalesce_window = opts.coalesce_window;
   sc.options.degraded_reads = opts.degraded_reads;
   sc.options.max_queue_depth = opts.max_queue_depth;
-  sc.options.mvcc_reads = opts.mvcc_reads;
   // Assigned, not drawn: the overload-protection knobs must not perturb the
   // rng-driven schedule above, so an overload run's baseline is the same
   // seed with the knobs off. The jitter seed is the run seed, keeping the

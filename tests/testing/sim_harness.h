@@ -69,12 +69,6 @@ struct FaultSimOptions {
   /// Fail the run if any source ends quarantined or not healthy after the
   /// drain + final queries (the resync sweep's no-permanent-outage check).
   bool require_all_healthy = false;
-  // ---- concurrent mediator (MVCC reads) ----
-  /// MediatorOptions::mvcc_reads — poll-free queries served lock-free from
-  /// the latest committed store snapshot instead of the transaction queue.
-  /// Changes query scheduling (trace dumps are NOT comparable to the
-  /// serialized baseline) but never update outcomes or final exports.
-  bool mvcc_reads = false;
   // ---- execution engine (PR: columnar batch execution) ----
   /// Run relational kernels through the columnar engine. The harness pins
   /// the size threshold to 0 for the whole run, so even the small sim
